@@ -1,10 +1,12 @@
 """Command-line interface: problem generation, solving, model selection,
 and the experiment drivers, with JSON config files and run manifests.
 
-Config resolution is flags > config file > defaults, and every resolved
-value is echoed into the run manifest so the manifest alone reproduces the
-run. Exit codes: 0 success, 2 invalid config/schema, 3 missing input files,
-4 solver divergence. Errors print one JSON record to stderr.
+Each subcommand's flags and config-file keys come from one parameter table
+in :data:`COMMANDS`. Config resolution is flags > config file > defaults,
+and every resolved value is echoed into the run manifest so the manifest
+alone reproduces the run. Exit codes: 0 success, 2 invalid config/schema,
+3 missing input files, 4 solver divergence. Errors print one JSON record
+to stderr.
 """
 
 from __future__ import annotations
@@ -14,29 +16,25 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from .experiments import (
-    SweepSpec,
-    bench_to_csv,
-    benchmark_table,
-    curve90_to_csv,
-    fit_90pct_curve,
-    phase_to_csv,
-    phase_transition_grid,
-    support_probability_sweep,
-    sweep_to_csv,
-    write_manifest,
+    SweepSpec, bench_to_csv, benchmark_table, curve90_to_csv, fit_90pct_curve, phase_to_csv,
+    phase_transition_grid, support_probability_sweep, sweep_to_csv,
 )
 from .linop import mutual_coherence
 from .modelselect import run_full_path, scores_to_csv, select_bic
 from .probgen import MATRIX_KINDS, gen_problem, load_problem, save_problem
-from .solver import DivergenceError, SolverConfig, TheoryParams, continuation_solve
-from .storage import write_array
+from .solver import (
+    DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError, SolverConfig, TheoryParams,
+    continuation_solve,
+)
+from .storage import write_array, write_manifest
 from .thresholding import Penalty
 
 EXIT_OK = 0
@@ -47,571 +45,304 @@ EXIT_DIVERGED = 4
 #: Environment variable naming the default output directory.
 ENV_OUTDIR = "ISHTC_OUTDIR"
 
+#: Default of a parameter that must come from a flag or the config file.
+REQUIRED = object()
+
+
+class Opt(NamedTuple):
+    """One parameter: config key and argparse dest, flag, argparse type
+    (``bool`` for a bare switch), default, help text, choices."""
+
+    key: str
+    flag: str
+    type: Optional[Callable] = None
+    default: Any = None
+    help: Optional[str] = None
+    choices: Optional[Sequence[str]] = None
+
 
 def _parse_level(text: str) -> Union[str, float]:
-    if text in ("auto", "path"):
-        return text
     try:
-        return float(text)
+        return text if text in ("auto", "path") else float(text)
     except ValueError:
         raise ValueError(f"expected a number, 'auto', or 'path', got {text!r}") from None
 
 
-def _floats_csv(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _csv(value: Any, conv: Callable) -> list:
+    """Items of a comma-separated flag value or of a config-file list."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    return [conv(v) for v in value]
 
 
-def _ints_csv(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _pick(params: dict, *keys: str) -> dict:
+    return {k: params[k] for k in keys}
 
 
 def _outdir(args: argparse.Namespace) -> Path:
-    out = args.out or os.environ.get(ENV_OUTDIR) or "."
-    path = Path(out)
+    path = Path(args.out or os.environ.get(ENV_OUTDIR) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    cfg_path = Path(path)
-    if not cfg_path.exists():
-        raise FileNotFoundError(f"config file {cfg_path} does not exist")
-    cfg = json.loads(cfg_path.read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
+def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict:
+    """Merge flag values over config-file values over row defaults.
 
-
-def _resolve(args: argparse.Namespace, keys: dict) -> dict:
-    """Merge flag values over config-file values over defaults.
-
-    ``keys`` maps parameter name -> default (REQUIRED sentinel when the
-    parameter must be supplied). Flags left at None fall through.
+    Flags left at None fall through. A config-file value is checked against
+    the row's choices and converted by its type, as argparse does a flag's.
     """
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    unknown = set(file_cfg) - set(keys)
+    file_cfg = {}
+    if args.config:
+        cfg_path = Path(args.config)
+        if not cfg_path.exists():
+            raise FileNotFoundError(f"config file {cfg_path} does not exist")
+        file_cfg = json.loads(cfg_path.read_text())
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+    unknown = set(file_cfg) - {o.key for o in opts}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, default in keys.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key, default)
-        if value is _REQUIRED:
-            raise ValueError(f"missing required parameter: {key}")
-        resolved[key] = value
+    for o in opts:
+        value = getattr(args, o.key)
+        if value is None and o.key in file_cfg:
+            value = file_cfg[o.key]
+            if o.choices and value not in o.choices:
+                raise ValueError(f"{o.key} must be one of {o.choices}, got {value!r}")
+            if value is not None and o.type not in (None, bool):
+                value = o.type(value)
+        elif value is None:
+            value = o.default
+        if value is REQUIRED:
+            raise ValueError(f"missing required parameter: {o.key}")
+        resolved[o.key] = value
     return resolved
 
 
-_REQUIRED = object()
+def _finish(args: argparse.Namespace, t0: float, command: str, params: dict, outputs: dict,
+            record: dict, summary: dict) -> int:
+    """Write the outputs, then ``manifest.json``, then the stdout summary.
 
-
-def _emit_error(exc: BaseException, exit_code: int) -> None:
-    record = {"error": str(exc), "type": type(exc).__name__, "exit_code": exit_code}
-    print(json.dumps(record, sort_keys=True), file=sys.stderr)
-
-
-def _print_summary(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _penalty(value: str) -> Penalty:
-    return Penalty(value)
-
-
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-
-def cmd_gen(args: argparse.Namespace) -> int:
-    params = _resolve(
-        args,
-        {
-            "kind": _REQUIRED,
-            "n": _REQUIRED,
-            "p": _REQUIRED,
-            "s": _REQUIRED,
-            "dr": 100.0,
-            "sigma": 0.0,
-            "nu": None,
-            "levels": 2,
-            "seed": 0,
-            "coherence": False,
-        },
-    )
-    if params["kind"] not in MATRIX_KINDS:
-        raise ValueError(f"kind must be one of {MATRIX_KINDS}, got {params['kind']!r}")
+    ``outputs`` maps a file name to a function that writes that path. The
+    manifest's wall time covers the work since ``t0``, not the writes.
+    """
+    elapsed = time.perf_counter() - t0
     out = _outdir(args)
-    problem = gen_problem(
-        params["kind"],
-        n=int(params["n"]),
-        p=int(params["p"]),
-        s=int(params["s"]),
-        dr=float(params["dr"]),
-        sigma=float(params["sigma"]),
-        nu=params["nu"],
-        seed=int(params["seed"]),
-        levels=int(params["levels"]),
-    )
+    for name, write in outputs.items():
+        write(out / name)
+    write_manifest(out / "manifest.json", {
+        "command": command, "params": params, "outputs": list(outputs),
+        "wall_time_s": elapsed, "version": __version__, **record,
+    })
+    print(json.dumps({"command": command, "out": str(out), **summary}, sort_keys=True))
+    return EXIT_OK
+
+
+def _experiment_kwargs(params: dict) -> dict:
+    """Penalty, worker count and path knobs, as the experiment functions name them."""
+    return dict(penalty=Penalty(params["penalty"]), workers=params["workers"],
+                gamma=params["gamma"], kmax=params["kmax"], path_len=params["path_len_N"])
+
+
+def cmd_gen(params: dict, args: argparse.Namespace) -> int:
+    keys = ("n", "p", "s", "dr", "sigma", "nu", "seed", "levels")
+    problem = gen_problem(params["kind"], **_pick(params, *keys))
     if params["coherence"]:
         problem.meta["mu"] = mutual_coherence(problem.op).mu
-    manifest_path = save_problem(problem, out)
-    _print_summary(
-        {
-            "command": "gen",
-            "manifest": str(manifest_path),
-            "epsilon": problem.epsilon,
-            "s": problem.s,
-        }
-    )
+    manifest_path = save_problem(problem, _outdir(args))
+    summary = {"manifest": str(manifest_path), "epsilon": problem.epsilon, "s": problem.s}
+    print(json.dumps({"command": "gen", **summary}, sort_keys=True))
     return EXIT_OK
 
 
-def _theory_from_flags(
-    penalty: Penalty, mu_s: Optional[float], c0: Optional[float], c1: Optional[float],
-    epsilon: float,
-) -> TheoryParams:
-    # mu_s is the coherence-sparsity product; every bound depends on mu and
-    # s only through it, so it is stored as (mu=mu_s, s=1).
-    if mu_s is None:
-        raise ValueError("--lambda-star auto needs --mu-s")
-    c = c1 if penalty is Penalty.L1 else c0
-    if c is None:
-        flag = "--c1" if penalty is Penalty.L1 else "--c0"
-        raise ValueError(f"--lambda-star auto with penalty {penalty.value} needs {flag}")
-    return TheoryParams(mu=float(mu_s), s=1, c=float(c), epsilon=float(epsilon))
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    params = _resolve(
-        args,
-        {
-            "problem": _REQUIRED,
-            "penalty": _REQUIRED,
-            "lambda0": "auto",
-            "gamma": 0.8,
-            "kmax": 5,
-            "lambda_star": "path",
-            "path_len_N": 100,
-            "mu_s": None,
-            "c0": None,
-            "c1": None,
-        },
-    )
+def cmd_solve(params: dict, args: argparse.Namespace) -> int:
     problem = load_problem(params["problem"])
-    penalty = _penalty(params["penalty"])
-    config = SolverConfig(
-        penalty=penalty,
-        lambda0=params["lambda0"],
-        gamma=float(params["gamma"]),
-        kmax=int(params["kmax"]),
-        lambda_star=params["lambda_star"],
-        path_len_N=int(params["path_len_N"]),
-    )
+    keys = ("penalty", "lambda0", "gamma", "kmax", "lambda_star", "path_len_N")
+    config = SolverConfig(**_pick(params, *keys))
     theory = None
     if config.lambda_star == "auto":
-        theory = _theory_from_flags(
-            penalty, params["mu_s"], params["c0"], params["c1"], problem.epsilon
-        )
-    out = _outdir(args)
+        # mu_s is the coherence-sparsity product; every bound depends on mu
+        # and s only through it, so it is stored as (mu=mu_s, s=1).
+        c_key = "c1" if config.penalty is Penalty.L1 else "c0"
+        if params["mu_s"] is None:
+            raise ValueError("--lambda-star auto needs --mu-s")
+        if params[c_key] is None:
+            raise ValueError(f"--lambda-star auto with penalty {params['penalty']} needs --{c_key}")
+        theory = TheoryParams(mu=params["mu_s"], s=1, c=params[c_key], epsilon=problem.epsilon)
     t0 = time.perf_counter()
     x_star, path = continuation_solve(problem.op, problem.y, config, theory)
-    elapsed = time.perf_counter() - t0
-    write_array(out / "x_star.bin", x_star)
-    path.to_csv(out / "path.csv")
-    manifest = {
-        "command": "solve",
-        "params": {**params, "penalty": penalty.value},
-        "solver_config": config.to_json_dict(),
-        "n_matvec": path.n_matvec,
-        "path_levels": len(path),
-        "outputs": ["x_star.bin", "path.csv"],
-        "wall_time_s": elapsed,
-        "version": __version__,
-    }
-    write_manifest(out / "manifest.json", manifest)
-    _print_summary(
-        {
-            "command": "solve",
-            "out": str(out),
-            "n_matvec": path.n_matvec,
-            "support_size": int(np.count_nonzero(x_star)),
-        }
-    )
-    return EXIT_OK
+    outputs = {"x_star.bin": partial(write_array, arr=x_star), "path.csv": path.to_csv}
+    record = {"solver_config": config.to_json_dict(), "n_matvec": path.n_matvec,
+              "path_levels": len(path)}
+    summary = {"n_matvec": path.n_matvec, "support_size": int(np.count_nonzero(x_star))}
+    return _finish(args, t0, "solve", params, outputs, record, summary)
 
 
-def cmd_path(args: argparse.Namespace) -> int:
-    params = _resolve(
-        args,
-        {
-            "problem": _REQUIRED,
-            "penalty": _REQUIRED,
-            "gamma": 0.8,
-            "kmax": 5,
-            "path_len_N": 100,
-        },
-    )
+def cmd_path(params: dict, args: argparse.Namespace) -> int:
     problem = load_problem(params["problem"])
-    penalty = _penalty(params["penalty"])
-    out = _outdir(args)
     t0 = time.perf_counter()
-    path = run_full_path(
-        problem.op,
-        problem.y,
-        penalty,
-        gamma=float(params["gamma"]),
-        kmax=int(params["kmax"]),
-        N=int(params["path_len_N"]),
-    )
+    path = run_full_path(problem.op, problem.y, Penalty(params["penalty"]), gamma=params["gamma"],
+                         kmax=params["kmax"], N=params["path_len_N"])
     lam_best, x_best, scores = select_bic(path, problem.y)
-    elapsed = time.perf_counter() - t0
-    write_array(out / "x_best.bin", x_best)
-    path.to_csv(out / "path.csv")
-    scores_to_csv(scores, out / "scores.csv")
-    manifest = {
-        "command": "path",
-        "params": {**params, "penalty": penalty.value},
-        "lambda_best": lam_best,
-        "support_size": int(np.count_nonzero(x_best)),
-        "n_matvec": path.n_matvec,
-        "outputs": ["x_best.bin", "path.csv", "scores.csv"],
-        "wall_time_s": elapsed,
-        "version": __version__,
-    }
-    write_manifest(out / "manifest.json", manifest)
-    _print_summary(
-        {
-            "command": "path",
-            "out": str(out),
-            "lambda_best": lam_best,
-            "support_size": int(np.count_nonzero(x_best)),
-        }
-    )
-    return EXIT_OK
+    outputs = {"x_best.bin": partial(write_array, arr=x_best), "path.csv": path.to_csv,
+               "scores.csv": partial(scores_to_csv, scores)}
+    picked = {"lambda_best": lam_best, "support_size": int(np.count_nonzero(x_best))}
+    return _finish(args, t0, "path", params, outputs, {**picked, "n_matvec": path.n_matvec}, picked)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    params = _resolve(
-        args,
-        {
-            "varied": _REQUIRED,
-            "values": _REQUIRED,
-            "matrix_kind": "gaussian",
-            "n": 500,
-            "p": 1000,
-            "s": 10,
-            "dr": 100.0,
-            "sigma": 1e-2,
-            "nu": None,
-            "replications": 100,
-            "penalty": "l0",
-            "seed": 0,
-            "workers": 1,
-            "gamma": 0.8,
-            "kmax": 5,
-            "path_len_N": 100,
-        },
-    )
+def cmd_sweep(params: dict, args: argparse.Namespace) -> int:
     varied = params["varied"]
     if varied == "nu" and params["matrix_kind"] != "correlated":
         raise ValueError("sweeping nu needs --matrix-kind correlated")
-    values = params["values"]
-    if isinstance(values, str):
-        values = _floats_csv(values)
-    fixed = {
-        "matrix_kind": params["matrix_kind"],
-        "n": int(params["n"]),
-        "p": int(params["p"]),
-        "s": int(params["s"]),
-        "dr": float(params["dr"]),
-        "sigma": float(params["sigma"]),
-    }
+    fixed = _pick(params, "matrix_kind", "n", "p", "s", "dr", "sigma")
     if params["matrix_kind"] == "correlated":
         fixed["nu"] = params["nu"] if params["nu"] is not None else 0.0
     fixed.pop(varied, None)
-    spec = SweepSpec(
-        varied=varied,
-        values=tuple(float(v) for v in values),
-        fixed=fixed,
-        replications=int(params["replications"]),
-        base_seed=int(params["seed"]),
-    )
-    penalty = _penalty(params["penalty"])
-    out = _outdir(args)
+    spec = SweepSpec(varied=varied, values=tuple(_csv(params["values"], float)), fixed=fixed,
+                     replications=params["replications"], base_seed=params["seed"])
     t0 = time.perf_counter()
-    rows = support_probability_sweep(
-        spec,
-        penalty,
-        workers=int(params["workers"]),
-        gamma=float(params["gamma"]),
-        kmax=int(params["kmax"]),
-        path_len=int(params["path_len_N"]),
-    )
-    elapsed = time.perf_counter() - t0
-    sweep_to_csv(rows, out / "sweep.csv")
-    manifest = {
-        "command": "sweep",
-        "params": {**params, "values": list(spec.values), "penalty": penalty.value},
-        "fixed": fixed,
-        "outputs": ["sweep.csv"],
-        "wall_time_s": elapsed,
-        "version": __version__,
-    }
-    write_manifest(out / "manifest.json", manifest)
-    _print_summary({"command": "sweep", "out": str(out), "points": len(rows)})
-    return EXIT_OK
+    rows = support_probability_sweep(spec, **_experiment_kwargs(params))
+    return _finish(args, t0, "sweep", {**params, "values": list(spec.values)},
+                   {"sweep.csv": partial(sweep_to_csv, rows)}, {"fixed": fixed},
+                   {"points": len(rows)})
 
 
-def cmd_phase(args: argparse.Namespace) -> int:
-    params = _resolve(
-        args,
-        {
-            "p": _REQUIRED,
-            "grid": None,
-            "delta_grid": None,
-            "rho_grid": None,
-            "trials": 20,
-            "penalty": "l1",
-            "threshold": 1e-2,
-            "sigma": 1e-6,
-            "seed": 0,
-            "workers": 1,
-            "gamma": 0.8,
-            "kmax": 5,
-            "path_len_N": 100,
-        },
-    )
+def cmd_phase(params: dict, args: argparse.Namespace) -> int:
     if params["delta_grid"] is not None and params["rho_grid"] is not None:
-        deltas = params["delta_grid"]
-        rhos = params["rho_grid"]
-        if isinstance(deltas, str):
-            deltas = _floats_csv(deltas)
-        if isinstance(rhos, str):
-            rhos = _floats_csv(rhos)
+        deltas, rhos = _csv(params["delta_grid"], float), _csv(params["rho_grid"], float)
     elif params["grid"] is not None:
-        k = int(params["grid"])
-        deltas = np.linspace(0.1, 1.0, k).tolist()
-        rhos = np.linspace(0.1, 1.0, k).tolist()
+        deltas = rhos = np.linspace(0.1, 1.0, params["grid"]).tolist()
     else:
         raise ValueError("phase needs either --grid K or both --delta-grid and --rho-grid")
-    penalty = _penalty(params["penalty"])
-    out = _outdir(args)
     t0 = time.perf_counter()
     grid = phase_transition_grid(
-        deltas,
-        rhos,
-        p=int(params["p"]),
-        trials=int(params["trials"]),
-        penalty=penalty,
-        success_threshold=float(params["threshold"]),
-        sigma=float(params["sigma"]),
-        base_seed=int(params["seed"]),
-        workers=int(params["workers"]),
-        gamma=float(params["gamma"]),
-        kmax=int(params["kmax"]),
-        path_len=int(params["path_len_N"]),
-    )
+        deltas, rhos, success_threshold=params["threshold"], base_seed=params["seed"],
+        **_pick(params, "p", "trials", "sigma"), **_experiment_kwargs(params))
     fit_90pct_curve(grid)
-    elapsed = time.perf_counter() - t0
-    phase_to_csv(grid, out / "phase.csv")
-    curve90_to_csv(grid, out / "curve90.csv")
-    manifest = {
-        "command": "phase",
-        "params": {
-            **params,
-            "delta_grid": [float(d) for d in deltas],
-            "rho_grid": [float(r) for r in rhos],
-            "penalty": penalty.value,
-        },
-        "outputs": ["phase.csv", "curve90.csv"],
-        "wall_time_s": elapsed,
-        "version": __version__,
-    }
-    write_manifest(out / "manifest.json", manifest)
-    _print_summary({"command": "phase", "out": str(out), "cells": int(grid.successes.size)})
-    return EXIT_OK
+    outputs = {"phase.csv": partial(phase_to_csv, grid),
+               "curve90.csv": partial(curve90_to_csv, grid)}
+    return _finish(args, t0, "phase", {**params, "delta_grid": deltas, "rho_grid": rhos}, outputs,
+                   {}, {"cells": int(grid.successes.size)})
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    params = _resolve(
-        args,
-        {
-            "sizes": _REQUIRED,
-            "matrix_kind": "bernoulli",
-            "penalty": "l1",
-            "replications": 10,
-            "dr": 100.0,
-            "sigma": 5e-2,
-            "seed": 0,
-            "workers": 1,
-            "gamma": 0.8,
-            "kmax": 5,
-            "path_len_N": 100,
-        },
-    )
-    sizes = params["sizes"]
-    if isinstance(sizes, str):
-        sizes = _ints_csv(sizes)
-    penalty = _penalty(params["penalty"])
-    out = _outdir(args)
+def cmd_bench(params: dict, args: argparse.Namespace) -> int:
+    sizes = _csv(params["sizes"], int)
     t0 = time.perf_counter()
-    rows = benchmark_table(
-        [int(p) for p in sizes],
-        matrix_kind=params["matrix_kind"],
-        penalty=penalty,
-        replications=int(params["replications"]),
-        dr=float(params["dr"]),
-        sigma=float(params["sigma"]),
-        base_seed=int(params["seed"]),
-        workers=int(params["workers"]),
-        gamma=float(params["gamma"]),
-        kmax=int(params["kmax"]),
-        path_len=int(params["path_len_N"]),
-    )
-    elapsed = time.perf_counter() - t0
-    bench_to_csv(rows, out / "bench.csv")
-    manifest = {
-        "command": "bench",
-        "params": {**params, "sizes": [int(p) for p in sizes], "penalty": penalty.value},
-        "outputs": ["bench.csv"],
-        "wall_time_s": elapsed,
-        "version": __version__,
-    }
-    write_manifest(out / "manifest.json", manifest)
-    _print_summary({"command": "bench", "out": str(out), "rows": len(rows)})
-    return EXIT_OK
+    rows = benchmark_table(sizes, base_seed=params["seed"], **_experiment_kwargs(params),
+                           **_pick(params, "matrix_kind", "replications", "dr", "sigma"))
+    return _finish(args, t0, "bench", {**params, "sizes": sizes},
+                   {"bench.csv": partial(bench_to_csv, rows)}, {}, {"rows": len(rows)})
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
+# Rows shared by several tables. The path knobs default to the solver's own.
+GAMMA = Opt("gamma", "--gamma", float, DEFAULT_GAMMA)
+KMAX = Opt("kmax", "--kmax", int, DEFAULT_KMAX)
+PATH_LEN = Opt("path_len_N", "--path-len", int, DEFAULT_PATH_LEN)
+PATH_KNOBS = (GAMMA, KMAX, PATH_LEN)
+PENALTY = Opt("penalty", "--penalty", choices=["l1", "l0"])
+SEED = Opt("seed", "--seed", int, 0)
+DR = Opt("dr", "--dr", float, 100.0)
+#: The closing rows of every experiment subcommand (sweep, phase, bench).
+EXPERIMENT = (SEED, Opt("workers", "--workers", int, 1), *PATH_KNOBS)
+
+
+def _problem_rows(n: Any, p: Any, s: Any, sigma: float) -> tuple:
+    """Problem-size and noise rows of ``gen`` and ``sweep``, which differ in defaults."""
+    return (Opt("n", "--n", int, n), Opt("p", "--p", int, p), Opt("s", "--s", int, s), DR,
+            Opt("sigma", "--sigma", float, sigma), Opt("nu", "--nu", float))
+
+
+#: Subcommand -> (handler, help, parameter table).
+COMMANDS = {
+    "gen": (cmd_gen, "generate a problem directory", (
+        Opt("kind", "--kind", default=REQUIRED, choices=MATRIX_KINDS),
+        *_problem_rows(REQUIRED, REQUIRED, REQUIRED, 0.0),
+        Opt("levels", "--levels", int, 2),
+        SEED,
+        Opt("coherence", "--coherence", bool, False, "also compute and record mutual coherence"),
+    )),
+    "solve": (cmd_solve, "run the continuation solver on a problem directory", (
+        Opt("problem", "--problem", default=REQUIRED, help="problem directory from `gen`"),
+        PENALTY._replace(default=REQUIRED),
+        Opt("lambda0", "--lambda0", _parse_level, "auto"),
+        GAMMA,
+        KMAX,
+        Opt("lambda_star", "--lambda-star", _parse_level, "path"),
+        PATH_LEN,
+        Opt("mu_s", "--mu-s", float, help="coherence-sparsity product for --lambda-star auto"),
+        Opt("c0", "--c0", float, help="hard-penalty stopping constant"),
+        Opt("c1", "--c1", float, help="soft-penalty stopping constant"),
+    )),
+    "path": (cmd_path, "full path plus information-criterion selection", (
+        Opt("problem", "--problem", default=REQUIRED),
+        PENALTY._replace(default=REQUIRED),
+        *PATH_KNOBS,
+    )),
+    "sweep": (cmd_sweep, "exact-support recovery probability sweep", (
+        Opt("varied", "--varied", default=REQUIRED, choices=["s", "sigma", "nu"]),
+        Opt("values", "--values", default=REQUIRED,
+            help="comma-separated grid for the varied parameter"),
+        Opt("matrix_kind", "--matrix-kind", default="gaussian", choices=MATRIX_KINDS),
+        *_problem_rows(500, 1000, 10, 1e-2),
+        Opt("replications", "--replications", int, 100),
+        PENALTY._replace(default="l0"),
+        *EXPERIMENT,
+    )),
+    # "%%" is a literal percent sign in argparse help.
+    "phase": (cmd_phase, "phase-transition success grid and 90%% curve", (
+        Opt("p", "--p", int, REQUIRED),
+        Opt("grid", "--grid", int, help="K for a K x K grid over [0.1, 1]^2"),
+        Opt("delta_grid", "--delta-grid", help="comma-separated deltas"),
+        Opt("rho_grid", "--rho-grid", help="comma-separated rhos"),
+        Opt("trials", "--trials", int, 20),
+        PENALTY._replace(default="l1"),
+        Opt("threshold", "--threshold", float, 1e-2, "relative L2 success threshold"),
+        Opt("sigma", "--sigma", float, 1e-6),
+        *EXPERIMENT,
+    )),
+    "bench": (cmd_bench, "mean cost/error table over problem sizes", (
+        Opt("sizes", "--sizes", default=REQUIRED, help="comma-separated signal lengths p"),
+        Opt("matrix_kind", "--matrix-kind", default="bernoulli", choices=MATRIX_KINDS),
+        PENALTY._replace(default="l1"),
+        Opt("replications", "--replications", int, 10),
+        DR,
+        Opt("sigma", "--sigma", float, 5e-2),
+        *EXPERIMENT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ishtc",
-        description="Sparse recovery via thresholded continuation: generate problems, "
-        "solve them, and reproduce recovery studies.",
-    )
+    parser = argparse.ArgumentParser(prog="ishtc", description=(
+        "Sparse recovery via thresholded continuation: generate problems, "
+        "solve them, and reproduce recovery studies."))
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (_, help_text, opts) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUTDIR} or .)")
-
-    p = sub.add_parser("gen", help="generate a problem directory")
-    common(p)
-    p.add_argument("--kind", choices=MATRIX_KINDS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--dr", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--coherence", action="store_const", const=True,
-                   help="also compute and record mutual coherence")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("solve", help="run the continuation solver on a problem directory")
-    common(p)
-    p.add_argument("--problem", help="problem directory from `gen`")
-    p.add_argument("--penalty", choices=["l1", "l0"])
-    p.add_argument("--lambda0", type=_parse_level)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--lambda-star", dest="lambda_star", type=_parse_level)
-    p.add_argument("--path-len", dest="path_len_N", type=int)
-    p.add_argument("--mu-s", dest="mu_s", type=float,
-                   help="coherence-sparsity product for --lambda-star auto")
-    p.add_argument("--c0", type=float, help="hard-penalty stopping constant")
-    p.add_argument("--c1", type=float, help="soft-penalty stopping constant")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("path", help="full path plus information-criterion selection")
-    common(p)
-    p.add_argument("--problem")
-    p.add_argument("--penalty", choices=["l1", "l0"])
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--path-len", dest="path_len_N", type=int)
-    p.set_defaults(func=cmd_path)
-
-    p = sub.add_parser("sweep", help="exact-support recovery probability sweep")
-    common(p)
-    p.add_argument("--varied", choices=["s", "sigma", "nu"])
-    p.add_argument("--values", help="comma-separated grid for the varied parameter")
-    p.add_argument("--matrix-kind", dest="matrix_kind", choices=MATRIX_KINDS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--dr", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--penalty", choices=["l1", "l0"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--path-len", dest="path_len_N", type=int)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("phase", help="phase-transition success grid and 90% curve")
-    common(p)
-    p.add_argument("--p", type=int)
-    p.add_argument("--grid", type=int, help="K for a K x K grid over [0.1, 1]^2")
-    p.add_argument("--delta-grid", dest="delta_grid", help="comma-separated deltas")
-    p.add_argument("--rho-grid", dest="rho_grid", help="comma-separated rhos")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--penalty", choices=["l1", "l0"])
-    p.add_argument("--threshold", type=float, help="relative L2 success threshold")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--path-len", dest="path_len_N", type=int)
-    p.set_defaults(func=cmd_phase)
-
-    p = sub.add_parser("bench", help="mean cost/error table over problem sizes")
-    common(p)
-    p.add_argument("--sizes", help="comma-separated signal lengths p")
-    p.add_argument("--matrix-kind", dest="matrix_kind", choices=MATRIX_KINDS)
-    p.add_argument("--penalty", choices=["l1", "l0"])
-    p.add_argument("--replications", type=int)
-    p.add_argument("--dr", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--path-len", dest="path_len_N", type=int)
-    p.set_defaults(func=cmd_bench)
-
+        for o in opts:
+            kind = ({"action": "store_const", "const": True} if o.type is bool
+                    else {"type": o.type, "choices": o.choices})
+            p.add_argument(o.flag, dest=o.key, help=o.help, **kind)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, opts = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(_resolve(args, opts), args)
     except DivergenceError as exc:
-        _emit_error(exc, EXIT_DIVERGED)
-        return EXIT_DIVERGED
+        error, code = exc, EXIT_DIVERGED
     except FileNotFoundError as exc:
-        _emit_error(exc, EXIT_MISSING)
-        return EXIT_MISSING
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        _emit_error(exc, EXIT_SCHEMA)
-        return EXIT_SCHEMA
+        error, code = exc, EXIT_MISSING
+    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+        error, code = exc, EXIT_SCHEMA
+    record = {"error": str(error), "type": type(error).__name__, "exit_code": code}
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -45,12 +45,6 @@ def _run_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def write_manifest(path: Union[str, Path], payload: dict) -> None:
-    import json
-
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Recovery-probability sweeps
 # ---------------------------------------------------------------------------

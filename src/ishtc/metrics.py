@@ -1,4 +1,4 @@
-"""Reconstruction-quality and cost metrics.
+"""Reconstruction-quality metrics.
 
 The support of an estimate is its exact nonzero set (thresholding produces
 exact zeros, so no epsilon-support is needed). PSNR with a zero error is
@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 #: Sentinel PSNR for a zero-error reconstruction.
 PSNR_CAP_DB = 310.0
-
-#: Column order of :meth:`Metrics.to_csv_row`.
-CSV_HEADER = "rel_l2,abs_linf,psnr_db,exact_support,support_precision,support_recall,n_matvec,wall_time_s"
 
 
 @dataclass
@@ -29,17 +25,6 @@ class Metrics:
     exact_support: bool
     support_precision: float
     support_recall: float
-    n_matvec: Optional[int] = None
-    wall_time_s: Optional[float] = None
-
-    def to_csv_row(self) -> str:
-        nmv = "" if self.n_matvec is None else str(int(self.n_matvec))
-        wt = "" if self.wall_time_s is None else repr(self.wall_time_s)
-        return (
-            f"{self.rel_l2!r},{self.abs_linf!r},{self.psnr_db!r},"
-            f"{str(self.exact_support).lower()},{self.support_precision!r},"
-            f"{self.support_recall!r},{nmv},{wt}"
-        )
 
 
 def _check_pair(x_hat: np.ndarray, x_true: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +48,7 @@ def psnr(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 
 
 def reconstruction_metrics(x_hat: np.ndarray, x_true: np.ndarray) -> Metrics:
-    """Error and support-accuracy fields; cost fields left unset.
+    """Error and support-accuracy fields.
 
     Precision is 1.0 for an empty predicted support (no false positives).
     """

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .linop import SensingOperator, dense_operator, make_partial_fft_haar, normalize_columns
-from .storage import operator_from_config, read_array, write_array
+from .storage import operator_from_config, read_array, write_array, write_manifest
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -201,15 +201,14 @@ def save_problem(problem: Problem, out_dir: Union[str, Path]) -> Path:
     op_cfg = problem.op.config()
     if problem.op.kind == "dense":
         write_array(out / "matrix.bin", np.asarray(problem.op.matrix))
-    manifest = {
+    manifest_path = out / "manifest.json"
+    write_manifest(manifest_path, {
         "op": op_cfg,
         "sigma": problem.sigma,
         "epsilon": problem.epsilon,
         "seed": problem.seed,
         "meta": problem.meta,
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
     return manifest_path
 
 

@@ -15,6 +15,7 @@ configurable stepsize, kept as a reference point; it has no continuation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
@@ -56,7 +57,8 @@ class SolverConfig:
     which 0 is still the exact minimizer (costs one adjoint matvec).
     ``lambda_star`` is the stopping level, or ``"auto"`` to derive it from
     :class:`TheoryParams`, or ``"path"`` to run exactly ``path_len_N`` levels
-    and leave the choice to model selection.
+    and leave the choice to model selection. Numeric levels must be finite
+    and positive; ``kmax`` and ``path_len_N`` must be integers (not bools).
     """
 
     penalty: Penalty
@@ -70,6 +72,10 @@ class SolverConfig:
         object.__setattr__(self, "penalty", Penalty(self.penalty))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"shrink factor must lie in (0, 1), got {self.gamma}")
+        for name in ("kmax", "path_len_N"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.kmax < 1:
             raise ValueError(f"inner iteration count must be >= 1, got {self.kmax}")
         if self.path_len_N < 0:
@@ -77,15 +83,15 @@ class SolverConfig:
         if isinstance(self.lambda0, str):
             if self.lambda0 != "auto":
                 raise ValueError(f"lambda0 must be a positive number or 'auto', got {self.lambda0!r}")
-        elif not self.lambda0 > 0:
-            raise ValueError(f"lambda0 must be > 0, got {self.lambda0}")
+        elif not 0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be finite and > 0, got {self.lambda0}")
         if isinstance(self.lambda_star, str):
             if self.lambda_star not in ("auto", "path"):
                 raise ValueError(
                     f"lambda_star must be a positive number, 'auto', or 'path', got {self.lambda_star!r}"
                 )
-        elif not self.lambda_star > 0:
-            raise ValueError(f"lambda_star must be > 0, got {self.lambda_star}")
+        elif not 0 < self.lambda_star < math.inf:
+            raise ValueError(f"lambda_star must be finite and > 0, got {self.lambda_star}")
         if (
             not isinstance(self.lambda0, str)
             and not isinstance(self.lambda_star, str)
@@ -165,17 +171,6 @@ class TheoryParams:
                     f"hard-penalty constant must exceed 1/(2*(1-2*mu*s)^2) = {lo:.6g}, got {self.c}"
                 )
 
-    def alpha(self, penalty: Penalty) -> float:
-        """Contraction-envelope slope: the per-level error is <= alpha * level
-        (soft) or alpha * sqrt(2 * level) (hard)."""
-        self.validate(penalty)
-        ms = self.mu_s
-        if ms == 0:
-            raise ValueError("slope undefined at zero coherence")
-        if penalty is Penalty.L1:
-            return (1.0 - 1.0 / self.c) / ms
-        return (1.0 - 1.0 / math.sqrt(2.0 * self.c)) / ms
-
 
 def lambda_star(theory: TheoryParams, penalty: Penalty) -> float:
     """Stopping level from the noise norm: ``c * epsilon`` for the soft
@@ -205,8 +200,8 @@ def theoretical_error_bound(theory: TheoryParams, penalty: Penalty) -> float:
     ``(c-1)*epsilon/(mu*s)`` for the soft penalty,
     ``(sqrt(2c)-1)*epsilon/(mu*s)`` for the hard penalty. This is a pure
     substitution, so boundary constants evaluate too; only the helpers that
-    claim the guarantee (``lambda_star``, ``gamma_lower_bound``, ``alpha``)
-    enforce the strict constant constraint.
+    claim the guarantee (``lambda_star``, ``gamma_lower_bound``) enforce the
+    strict constant constraint.
     """
     theory.validate_basic()
     ms = theory.mu_s
@@ -301,11 +296,14 @@ def continuation_solve(
     value is still >= the stopping level; in "path" mode it is the solution
     at the last of the ``path_len_N`` levels (use BIC selection afterwards).
 
-    Raises :class:`DivergenceError` on a non-finite iterate.
+    Raises :class:`ValueError` on non-finite data and
+    :class:`DivergenceError` on a non-finite iterate.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.n,):
         raise ValueError(f"expected data of length {op.n}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("data contains NaN or infinite entries")
 
     counter = MatvecCounter()
     if config.lambda0 == "auto":

@@ -1,13 +1,15 @@
-"""Binary array files and operator config round-tripping.
+"""Binary array files, JSON manifests and operator config round-tripping.
 
 Array files carry a 16-byte header (magic ``ISHT``, u32 rows, u32 cols,
 u32 reserved, all little-endian) followed by the float64 payload in
 column-major order. Vectors are stored with ``cols == 1``. The format is
 fixed-endian so files compare byte-for-byte across runs and machines.
+Manifests are written with sorted keys for the same reason.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 from typing import Union
@@ -51,13 +53,9 @@ def read_array(path: Union[str, Path]) -> np.ndarray:
     return mat[:, 0] if cols == 1 else mat
 
 
-def operator_to_config(op: SensingOperator) -> dict:
-    """Describe an operator for a JSON manifest.
-
-    Implicit operators are fully reconstructible from the config; dense ones
-    point at a separate matrix file written by the caller.
-    """
-    return op.config()
+def write_manifest(path: Union[str, Path], payload: dict) -> None:
+    """Write a JSON manifest: 2-space indent, sorted keys, trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def operator_from_config(cfg: dict, matrix_path: Union[str, Path, None] = None) -> SensingOperator:

@@ -24,7 +24,7 @@ class Penalty(str, enum.Enum):
 
 
 def _check_lambda(lam: float) -> None:
-    if lam < 0:
+    if not lam >= 0:  # also rejects NaN
         raise ValueError(f"threshold level must be nonnegative, got {lam}")
 
 

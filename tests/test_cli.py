@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ishtc.cli import EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
-from ishtc.storage import read_array
+from ishtc.solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN
+from ishtc.storage import read_array, write_array
 
 GEN_FLAGS = [
     "gen", "--kind", "gaussian", "--n", "500", "--p", "1000", "--s", "10",
@@ -235,3 +236,79 @@ def test_fft_haar_problem_through_cli(tmp_path):
     assert main(["solve", "--problem", str(prob_dir), "--penalty", "l0",
                  "--out", str(out)]) == EXIT_OK
     assert read_array(out / "x_star.bin").shape == (64,)
+
+
+def test_solve_rejects_infinite_lambda0(tmp_path, capsys):
+    # An infinite start level never shrinks to a finite stop level.
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    rc = main(["solve", "--problem", str(prob_dir), "--penalty", "l1", "--lambda0", "inf",
+               "--lambda-star", "0.01", "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err.strip())["exit_code"] == EXIT_SCHEMA
+
+
+def test_path_rejects_nan_data(tmp_path, capsys):
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    y = read_array(prob_dir / "y.bin")
+    y[2] = np.nan
+    write_array(prob_dir / "y.bin", y)
+    capsys.readouterr()
+    rc = main(["path", "--problem", str(prob_dir), "--penalty", "l0",
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["type"] == "ValueError"
+
+
+#: Per subcommand: flags for a small run (given the problem directory), one
+#: config key with a file value and a flag value, and that key's flag.
+TABLE_CASES = {
+    "gen": (lambda prob: ["--kind", "gaussian", "--n", "20", "--p", "40", "--s", "3"],
+            "seed", "--seed", 9, "11"),
+    "solve": (lambda prob: ["--problem", prob, "--penalty", "l1"],
+              "lambda0", "--lambda0", 50.0, "40"),
+    "path": (lambda prob: ["--problem", prob], "penalty", "--penalty", "l1", "l0"),
+    "sweep": (lambda prob: ["--varied", "s", "--values", "1", "--n", "20", "--p", "40",
+                            "--replications", "1"],
+              "penalty", "--penalty", "l1", "l0"),
+    "phase": (lambda prob: ["--p", "40", "--delta-grid", "0.5", "--rho-grid", "0.1",
+                            "--trials", "1"],
+              "threshold", "--threshold", 0.5, "0.25"),
+    "bench": (lambda prob: ["--sizes", "320", "--replications", "1"], "seed", "--seed", 4, "6"),
+}
+
+
+@pytest.mark.parametrize("command", list(TABLE_CASES))
+def test_parameter_table_per_subcommand(command, tmp_path, capsys):
+    """Unknown config keys are refused, and flag > config file > default holds."""
+    flags, key, flag, file_value, flag_text = TABLE_CASES[command]
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    argv = [command, *flags(str(prob_dir))]
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: file_value, "stepsize": 2}))
+    capsys.readouterr()
+    assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "bad")]) == EXIT_SCHEMA
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == EXIT_SCHEMA
+    assert "stepsize" in record["error"]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: file_value}))
+    echoed = {}
+    for name, extra in (("file", []), ("flag", [flag, flag_text])):
+        out = tmp_path / name
+        assert main(argv + ["--config", str(cfg), "--out", str(out), *extra]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        echoed[name] = manifest["meta"] if command == "gen" else manifest["params"]
+    assert echoed["file"][key] == file_value
+    assert echoed["flag"][key] == type(file_value)(flag_text)
+    if command != "gen":
+        for params in echoed.values():
+            assert params["gamma"] == DEFAULT_GAMMA
+            assert params["kmax"] == DEFAULT_KMAX
+            assert params["path_len_N"] == DEFAULT_PATH_LEN

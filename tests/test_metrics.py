@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ishtc.metrics import CSV_HEADER, PSNR_CAP_DB, Metrics, psnr, reconstruction_metrics
+from ishtc.metrics import PSNR_CAP_DB, psnr, reconstruction_metrics
 
 
 def test_perfect_recovery():
@@ -97,17 +97,3 @@ def test_zero_truth_rejected():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         reconstruction_metrics(np.ones(3), np.ones(4))
-
-
-def test_csv_row_stable():
-    m = Metrics(
-        rel_l2=0.5, abs_linf=0.25, psnr_db=20.0, exact_support=False,
-        support_precision=1.0, support_recall=0.5, n_matvec=42, wall_time_s=None,
-    )
-    header_cols = CSV_HEADER.split(",")
-    row_cols = m.to_csv_row().split(",")
-    assert len(row_cols) == len(header_cols)
-    assert row_cols[header_cols.index("rel_l2")] == "0.5"
-    assert row_cols[header_cols.index("exact_support")] == "false"
-    assert row_cols[header_cols.index("n_matvec")] == "42"
-    assert row_cols[header_cols.index("wall_time_s")] == ""

@@ -258,6 +258,35 @@ def test_config_validation():
         SolverConfig(penalty=Penalty.L1, gamma=0.5, lambda0=0.05, lambda_star=0.1)
 
 
+@pytest.mark.parametrize("field", ["lambda0", "lambda_star"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_levels(field, value):
+    # lambda0=inf with a finite stop level would never reach it.
+    with pytest.raises(ValueError):
+        SolverConfig(penalty=Penalty.L1, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kmax", 2.5), ("kmax", True), ("kmax", "5"), ("path_len_N", True), ("path_len_N", 10.0),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError):
+        SolverConfig(penalty=Penalty.L1, **{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SolverConfig(penalty=Penalty.L1, kmax=np.int64(3), path_len_N=np.int32(7))
+    assert (cfg.kmax, cfg.path_len_N) == (3, 7)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_data_rejected(bad):
+    op, y = _small_instance()
+    y[3] = bad
+    with pytest.raises(ValueError):
+        continuation_solve(op, y, SolverConfig(penalty=Penalty.L1, path_len_N=5))
+
+
 def test_config_json_round_trip():
     cfg = SolverConfig(
         penalty=Penalty.L0, lambda0=3.0, gamma=0.85, kmax=7,

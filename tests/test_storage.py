@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from ishtc.linop import make_partial_fft_haar, normalize_columns
-from ishtc.storage import (
-    MAGIC,
-    operator_from_config,
-    operator_to_config,
-    read_array,
-    write_array,
-)
+from ishtc.storage import MAGIC, operator_from_config, read_array, write_array
 
 
 def test_vector_round_trip(tmp_path):
@@ -57,7 +51,7 @@ def test_truncated_payload_rejected(tmp_path):
 
 def test_dense_operator_config_round_trip(tmp_path):
     op, _ = normalize_columns(np.random.default_rng(2).standard_normal((6, 11)))
-    cfg = operator_to_config(op)
+    cfg = op.config()
     assert cfg["kind"] == "dense"
     mat_path = tmp_path / "matrix.bin"
     write_array(mat_path, np.asarray(op.matrix))
@@ -67,7 +61,7 @@ def test_dense_operator_config_round_trip(tmp_path):
 
 def test_fft_haar_config_round_trip():
     op = make_partial_fft_haar(128, 60, levels=2, seed=33)
-    back = operator_from_config(operator_to_config(op))
+    back = operator_from_config(op.config())
     assert (back.n, back.p, back.levels, back.seed) == (60, 128, 2, 33)
     x = np.random.default_rng(3).standard_normal(128)
     np.testing.assert_array_equal(back.apply(x), op.apply(x))

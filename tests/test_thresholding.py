@@ -38,6 +38,18 @@ def test_negative_lambda_rejected():
         threshold_vector(np.ones(3), -1e-9, Penalty.L1)
 
 
+@pytest.mark.parametrize("fn", [
+    soft_threshold,
+    hard_threshold,
+    lambda t, lam: threshold_vector(np.full(3, t), lam, Penalty.L1),
+    lambda t, lam: threshold_vector(np.full(3, t), lam, Penalty.L0),
+])
+def test_nan_lambda_rejected(fn):
+    # NaN passes a plain ``lam < 0`` check; it must be refused, not thresholded.
+    with pytest.raises(ValueError):
+        fn(1.0, math.nan)
+
+
 def test_vector_examples():
     out = threshold_vector(np.array([3.0, 0.5, -3.0]), 1.0, Penalty.L1)
     np.testing.assert_array_equal(out, [2.0, 0.0, -2.0])
