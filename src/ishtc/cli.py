@@ -109,6 +109,9 @@ def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict:
             value = file_cfg[o.key]
             if o.choices and value not in o.choices:
                 raise ValueError(f"{o.key} must be one of {o.choices}, got {value!r}")
+            if o.type is int and (isinstance(value, bool)
+                                  or isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"{o.key} must be an integer, got {value!r}")
             if value is not None and o.type not in (None, bool):
                 value = o.type(value)
         elif value is None:

@@ -26,9 +26,13 @@ from .metrics import reconstruction_metrics, psnr
 from .modelselect import run_full_path, select_bic
 from .probgen import gen_problem
 from .solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError
+from .storage import write_csv
 from .thresholding import Penalty
 
 LN9 = math.log(9.0)
+
+#: Columns of a :func:`benchmark_table` row, in ``bench.csv`` order.
+BENCH_COLUMNS = ("p", "n", "s", "time_s", "n_matvec", "rel_l2", "abs_linf", "diverged")
 
 
 def _task_seed(base_seed: int, *key: int) -> int:
@@ -118,10 +122,7 @@ def support_probability_sweep(
 
 
 def sweep_to_csv(rows: Sequence[Tuple[float, float]], path: Union[str, Path]) -> None:
-    lines = ["value,success_probability"]
-    for value, prob in rows:
-        lines.append(f"{value!r},{prob!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "value,success_probability", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +317,18 @@ def median_smooth3(v: Sequence[float]) -> np.ndarray:
 
 def phase_to_csv(grid: PhaseGrid, path: Union[str, Path]) -> None:
     """Per-cell series: one row per (delta, rho) with realized (n, s)."""
-    lines = ["delta,rho,n,s,successes,trials,success_rate"]
-    for i in range(grid.delta_grid.size):
-        for j in range(grid.rho_grid.size):
-            n, s = grid.cell_dims(i, j)
+    rows = []
+    for i, delta in enumerate(grid.delta_grid):
+        for j, rho in enumerate(grid.rho_grid):
             wins = int(grid.successes[i, j])
-            lines.append(
-                f"{float(grid.delta_grid[i])!r},{float(grid.rho_grid[j])!r},"
-                f"{n},{s},{wins},{grid.trials},{wins / grid.trials!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+            rows.append((delta, rho, *grid.cell_dims(i, j), wins, grid.trials, wins / grid.trials))
+    write_csv(path, "delta,rho,n,s,successes,trials,success_rate", rows)
 
 
 def curve90_to_csv(grid: PhaseGrid, path: Union[str, Path]) -> None:
     if grid.curve90 is None:
         fit_90pct_curve(grid)
-    lines = ["delta,rho90,flag"]
-    for i in range(grid.delta_grid.size):
-        lines.append(
-            f"{float(grid.delta_grid[i])!r},{float(grid.curve90[i])!r},{grid.curve90_flags[i]}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "delta,rho90,flag", zip(grid.delta_grid, grid.curve90, grid.curve90_flags))
 
 
 # ---------------------------------------------------------------------------
@@ -361,47 +353,38 @@ def benchmark_table(
 
     Per size p: n = p//4 measurements, s = n//40 nonzeros. The matvec count
     is the solver's own counter (exact); wall time is measured and therefore
-    the one non-reproducible column.
+    the one non-reproducible column. A diverged replication is counted in
+    ``diverged`` and left out of the means, which are nan when every
+    replication diverged.
     """
     rows: List[dict] = []
     for si, p in enumerate(sizes):
         n = p // 4
         s = max(1, n // 40)
 
-        def one(rep: int) -> Tuple[float, int, float, float]:
+        def one(rep: int) -> Optional[Tuple[float, int, float, float]]:
             problem = gen_problem(
                 matrix_kind, n=n, p=p, s=s, dr=dr, sigma=sigma,
                 seed=_task_seed(base_seed, si, rep),
             )
             t0 = time.perf_counter()
-            _, x_best, path = _bic_solution(problem, penalty, gamma, kmax, path_len)
+            try:
+                _, x_best, path = _bic_solution(problem, penalty, gamma, kmax, path_len)
+            except DivergenceError:
+                return None
             elapsed = time.perf_counter() - t0
             m = reconstruction_metrics(x_best, problem.x_true)
             return elapsed, path.n_matvec, m.rel_l2, m.abs_linf
 
-        results = _run_ordered(one, range(replications), workers)
-        rows.append(
-            {
-                "p": p,
-                "n": n,
-                "s": s,
-                "time_s": sum(r[0] for r in results) / replications,
-                "n_matvec": sum(r[1] for r in results) / replications,
-                "rel_l2": sum(r[2] for r in results) / replications,
-                "abs_linf": sum(r[3] for r in results) / replications,
-            }
-        )
+        done = [r for r in _run_ordered(one, range(replications), workers) if r is not None]
+        means = [sum(col) / len(done) for col in zip(*done)] if done else [math.nan] * 4
+        rows.append({"p": p, "n": n, "s": s, **dict(zip(BENCH_COLUMNS[3:7], means)),
+                     "diverged": replications - len(done)})
     return rows
 
 
 def bench_to_csv(rows: Sequence[dict], path: Union[str, Path]) -> None:
-    lines = ["p,n,s,time_s,n_matvec,rel_l2,abs_linf"]
-    for r in rows:
-        lines.append(
-            f"{r['p']},{r['n']},{r['s']},{r['time_s']!r},{r['n_matvec']!r},"
-            f"{r['rel_l2']!r},{r['abs_linf']!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ",".join(BENCH_COLUMNS), ([r[c] for c in BENCH_COLUMNS] for r in rows))
 
 
 # ---------------------------------------------------------------------------

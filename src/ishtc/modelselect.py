@@ -31,6 +31,7 @@ from .solver import (
     continuation_solve,
 )
 from .linop import SensingOperator
+from .storage import write_csv
 from .thresholding import Penalty
 
 #: Residual floor so a perfect fit scores finitely instead of log(0).
@@ -106,7 +107,7 @@ def select_bic(
             BicScore(
                 lam=float(path.lambdas[i]),
                 score=s,
-                support_size=int(path.supports[i].size),
+                support_size=int(np.count_nonzero(path.solutions[i])),
                 residual_sq=residual_sq,
             )
         )
@@ -119,7 +120,5 @@ def select_bic(
 
 def scores_to_csv(scores: List[BicScore], path: Union[str, Path]) -> None:
     """One row per path entry: level, support size, squared residual, score."""
-    lines = ["lambda,support_size,residual_sq,score"]
-    for rec in scores:
-        lines.append(f"{rec.lam!r},{rec.support_size},{rec.residual_sq!r},{rec.score!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "lambda,support_size,residual_sq,score",
+              ((r.lam, r.support_size, r.residual_sq, r.score) for r in scores))

@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .linop import MatvecCounter, SensingOperator
+from .storage import write_csv
 from .thresholding import Penalty, threshold_vector
 
 #: Path defaults: per-level inner iterations, shrink factor, path length.
@@ -221,19 +222,25 @@ class PathResult:
     """Per-level record of one continuation run.
 
     Index 0 is the starting level (solution identically 0); every executed
-    level appends one entry. ``n_matvec`` counts the operator applications
-    the algorithm itself consumed: 2 per inner iteration plus 1 adjoint when
-    ``lambda0`` was auto-derived. Residual norms are recomputed once per
-    level for diagnostics and deliberately excluded from that count.
+    level appends one entry. ``matvec_cumulative`` counts the operator
+    applications spent up to each level: 2 per inner iteration plus 1
+    adjoint when ``lambda0`` was auto-derived. The residual norm of a level
+    is that of the residual its last inner step carried, so it costs none.
     """
 
     lambdas: np.ndarray
     solutions: List[np.ndarray]
-    supports: List[np.ndarray]
     residual_norms: np.ndarray
     objective_values: np.ndarray
     matvec_cumulative: np.ndarray
-    n_matvec: int
+
+    @property
+    def supports(self) -> List[np.ndarray]:
+        return [np.flatnonzero(x) for x in self.solutions]
+
+    @property
+    def n_matvec(self) -> int:
+        return int(self.matvec_cumulative[-1])
 
     @property
     def x_star(self) -> np.ndarray:
@@ -244,29 +251,25 @@ class PathResult:
 
     def to_csv(self, path: Union[str, Path]) -> None:
         """One row per level: level value, support size, residual norm,
-        objective, cumulative matvec count. Floats are written with
-        round-trip repr so identical runs give identical bytes."""
-        lines = ["lambda,support_size,residual_norm,objective,n_matvec_cumulative"]
-        for i in range(len(self.solutions)):
-            lines.append(
-                f"{float(self.lambdas[i])!r},{self.supports[i].size},"
-                f"{float(self.residual_norms[i])!r},{float(self.objective_values[i])!r},"
-                f"{int(self.matvec_cumulative[i])}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        objective, cumulative matvec count."""
+        write_csv(path, "lambda,support_size,residual_norm,objective,n_matvec_cumulative",
+                  zip(self.lambdas, map(np.count_nonzero, self.solutions), self.residual_norms,
+                      self.objective_values, self.matvec_cumulative))
 
 
 def inner_iterate(
     op: SensingOperator,
     y: np.ndarray,
     x: np.ndarray,
+    r: np.ndarray,
     lam: float,
     penalty: Penalty,
     counter: Optional[MatvecCounter] = None,
-) -> np.ndarray:
-    """One thresholded gradient step at unit stepsize; exactly 2 matvecs."""
-    r = y - op.apply(x, counter)
-    return threshold_vector(x + op.apply_adjoint(r, counter), lam, penalty)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One thresholded gradient step at unit stepsize from ``x`` and its residual
+    ``r = y - Psi x``; returns the new iterate and residual. Exactly 2 matvecs."""
+    x_next = threshold_vector(x + op.apply_adjoint(r, counter), lam, penalty)
+    return x_next, y - op.apply(x_next, counter)
 
 
 def _penalty_term(x: np.ndarray, penalty: Penalty) -> float:
@@ -325,10 +328,9 @@ def continuation_solve(
     else:
         lam_stop = float(config.lambda_star)
 
-    x = np.zeros(op.p)
+    x, r = np.zeros(op.p), y
     lambdas = [lam0]
-    solutions = [x.copy()]
-    supports = [np.flatnonzero(x)]
+    solutions = [x]
     residual_norms = [float(np.linalg.norm(y))]
     objective_values = [0.5 * residual_norms[0] ** 2]
     matvec_cum = [counter.count]
@@ -345,20 +347,17 @@ def continuation_solve(
                     break
             elif level > config.path_len_N:
                 break
-            for k in range(1, config.kmax + 1):
-                # Overflow surfaces as the explicit divergence error below,
-                # so numpy's own warnings are suppressed.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x = inner_iterate(op, y, x, lam, config.penalty, counter)
-                if not np.all(np.isfinite(x)):
-                    raise DivergenceError(lam, level, k)
+            # Overflow surfaces as the explicit divergence error below, so
+            # numpy's own warnings are suppressed.
             with np.errstate(over="ignore", invalid="ignore"):
-                r = y - op.apply(x)
+                for k in range(1, config.kmax + 1):
+                    x, r = inner_iterate(op, y, x, r, lam, config.penalty, counter)
+                    if not np.all(np.isfinite(x)):
+                        raise DivergenceError(lam, level, k)
                 rnorm = float(np.linalg.norm(r))
                 objective = 0.5 * rnorm ** 2 + lam * _penalty_term(x, config.penalty)
             lambdas.append(lam)
-            solutions.append(x.copy())
-            supports.append(np.flatnonzero(x))
+            solutions.append(x)
             residual_norms.append(rnorm)
             objective_values.append(objective)
             matvec_cum.append(counter.count)
@@ -366,11 +365,9 @@ def continuation_solve(
     path = PathResult(
         lambdas=np.array(lambdas),
         solutions=solutions,
-        supports=supports,
         residual_norms=np.array(residual_norms),
         objective_values=np.array(objective_values),
         matvec_cumulative=np.array(matvec_cum, dtype=np.int64),
-        n_matvec=counter.count,
     )
     return path.x_star.copy(), path
 

@@ -1,18 +1,21 @@
-"""Binary array files, JSON manifests and operator config round-tripping.
+"""Binary array files, CSV tables, JSON manifests and operator config
+round-tripping.
 
 Array files carry a 16-byte header (magic ``ISHT``, u32 rows, u32 cols,
 u32 reserved, all little-endian) followed by the float64 payload in
 column-major order. Vectors are stored with ``cols == 1``. The format is
 fixed-endian so files compare byte-for-byte across runs and machines.
-Manifests are written with sorted keys for the same reason.
+Manifests are written with sorted keys and CSV floats with round-trip
+``repr`` for the same reason.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +59,20 @@ def read_array(path: Union[str, Path]) -> np.ndarray:
 def write_manifest(path: Union[str, Path], payload: dict) -> None:
     """Write a JSON manifest: 2-space indent, sorted keys, trailing newline."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path: Union[str, Path], header: str, rows: Iterable[Sequence]) -> None:
+    """Write a header line and one comma-separated line per row: strings as
+    they are, integers in decimal, any other number as the round-trip
+    ``repr`` of its float, so identical runs give identical bytes."""
+
+    def cell(v) -> str:
+        if isinstance(v, str):
+            return v
+        return str(int(v)) if isinstance(v, numbers.Integral) else repr(float(v))
+
+    lines = [header, *(",".join(map(cell, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def operator_from_config(cfg: dict, matrix_path: Union[str, Path, None] = None) -> SensingOperator:

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ishtc.cli import EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
 from ishtc.solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN
@@ -202,8 +204,69 @@ def test_bench_command(tmp_path):
     assert main(["bench", "--sizes", "160", "--replications", "2",
                  "--seed", "2", "--path-len", "40", "--out", str(out)]) == EXIT_OK
     lines = (out / "bench.csv").read_text().strip().splitlines()
-    assert lines[0] == "p,n,s,time_s,n_matvec,rel_l2,abs_linf"
+    assert lines[0] == "p,n,s,time_s,n_matvec,rel_l2,abs_linf,diverged"
     assert len(lines) == 2
+
+
+def test_bench_counts_diverged_replications(tmp_path):
+    # At p=160 and the default path length this replication diverges.
+    out = tmp_path / "run"
+    assert main(["bench", "--sizes", "160", "--replications", "1",
+                 "--out", str(out)]) == EXIT_OK
+    header, row = (out / "bench.csv").read_text().strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["diverged"] == "1"
+    assert cells["n_matvec"] == cells["rel_l2"] == "nan"
+
+
+@pytest.mark.parametrize("key, value, echoed", [
+    ("kmax", 2.5, None), ("kmax", True, None), ("path_len_N", True, None),
+    ("path_len_N", 3.5, None), ("kmax", 5, 5), ("kmax", 5.0, 5), ("kmax", "5", 5),
+])
+def test_config_integer_keys(key, value, echoed, tmp_path, capsys):
+    """A bool or non-integral number exits 2 naming the key; integral values run."""
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["path", "--problem", str(prob_dir), "--penalty", "l1", "--config", str(cfg),
+               "--out", str(out)])
+    if echoed is None:
+        assert rc == EXIT_SCHEMA
+        assert key in json.loads(capsys.readouterr().err.strip())["error"]
+        assert not out.exists()
+    else:
+        assert rc == EXIT_OK
+        got = json.loads((out / "manifest.json").read_text())["params"][key]
+        assert type(got) is int and got == echoed
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40),
+    st.floats(-40, 40), st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.text(alphabet="0123456789.-+ eE", max_size=3), st.text(max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=JSON_SCALARS)
+def test_config_kmax_exits_2_or_runs_with_that_integer(value, tmp_path_factory):
+    root = tmp_path_factory.mktemp("kmax")
+    prob_dir = root / "prob"
+    _gen_small(prob_dir, n="10", p="20", s="2")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"kmax": value}))
+    out = root / "run"
+    rc = main(["path", "--problem", str(prob_dir), "--penalty", "l0", "--path-len", "2",
+               "--config", str(cfg), "--out", str(out)])
+    if rc != EXIT_OK:
+        assert rc == EXIT_SCHEMA
+        return
+    kmax = json.loads((out / "manifest.json").read_text())["params"]["kmax"]
+    assert type(kmax) is int
+    assert kmax == (int(value) if isinstance(value, str) else value)
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -170,7 +170,7 @@ def test_benchmark_table_and_csv(tmp_path):
     out = tmp_path / "bench.csv"
     bench_to_csv(rows, out)
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "p,n,s,time_s,n_matvec,rel_l2,abs_linf"
+    assert lines[0] == "p,n,s,time_s,n_matvec,rel_l2,abs_linf,diverged"
     assert len(lines) == 2
 
 

@@ -71,11 +71,9 @@ def _path_from(lams, sols, y):
     return PathResult(
         lambdas=np.asarray(lams, dtype=float),
         solutions=[np.asarray(s, dtype=float) for s in sols],
-        supports=[np.flatnonzero(s) for s in sols],
         residual_norms=np.asarray(residuals),
         objective_values=np.zeros(len(sols)),
         matvec_cumulative=np.zeros(len(sols), dtype=int),
-        n_matvec=0,
     )
 
 
@@ -114,11 +112,9 @@ def test_select_invariant_under_reordering():
     reversed_path = PathResult(
         lambdas=np.asarray(path.lambdas)[order],
         solutions=[path.solutions[i] for i in order],
-        supports=[path.supports[i] for i in order],
         residual_norms=np.asarray(path.residual_norms)[order],
         objective_values=np.asarray(path.objective_values)[order],
         matvec_cumulative=np.asarray(path.matvec_cumulative)[order],
-        n_matvec=path.n_matvec,
     )
     lam_rev, x_rev, _ = select_bic(reversed_path, y)
     assert lam_rev == lam_fwd

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ishtc.linop import dense_operator, normalize_columns
+from ishtc.linop import SensingOperator, dense_operator, normalize_columns
+from ishtc.probgen import gen_problem
 from ishtc.solver import (
     DivergenceError,
     PathResult,
@@ -144,13 +145,7 @@ def test_solver_bit_reproducible():
 
 
 def test_divergence_error_carries_diagnostics():
-    # dense support at a square aspect makes the unit-step iteration blow up
-    rng = np.random.default_rng(3)
-    op, _ = normalize_columns(rng.standard_normal((80, 80)))
-    x0 = np.zeros(80)
-    sup = rng.choice(80, 40, replace=False)
-    x0[sup] = rng.choice([-1.0, 1.0], 40)
-    y = op.apply(x0)
+    op, y = _diverging_instance()
     cfg = SolverConfig(
         penalty=Penalty.L1, gamma=0.8, lambda_star="path", path_len_N=100, kmax=40
     )
@@ -161,6 +156,119 @@ def test_divergence_error_carries_diagnostics():
     assert 1 <= err.value.inner_k <= 40
 
 
+def _diverging_instance():
+    # dense support at a square aspect makes the unit-step iteration blow up
+    rng = np.random.default_rng(3)
+    op, _ = normalize_columns(rng.standard_normal((80, 80)))
+    x0 = np.zeros(80)
+    sup = rng.choice(80, 40, replace=False)
+    x0[sup] = rng.choice([-1.0, 1.0], 40)
+    return op, op.apply(x0)
+
+
+def _recomputing_loop(op, y, cfg, lam_stop):
+    """Test-only oracle of the loop that recomputes the residual: every step
+    is ``x <- T(x + Psi^t (y - Psi x))`` and every level recomputes
+    ``y - Psi x`` once more, uncounted. Returns the PathResult arrays."""
+    count = 0
+    if cfg.lambda0 == "auto":
+        z = float(np.max(np.abs(op.apply_adjoint(y))))
+        lam0 = z if cfg.penalty is Penalty.L1 else z ** 2 / 2.0
+        count = 1
+    else:
+        lam0 = float(cfg.lambda0)
+    x = np.zeros(op.p)
+    rnorm = float(np.linalg.norm(y))
+    levels = [(lam0, x, rnorm, 0.5 * rnorm ** 2, count)]
+    lam, level = lam0, 0
+    while lam0 > 0.0:
+        level += 1
+        lam = cfg.gamma * lam
+        if (lam < lam_stop) if lam_stop is not None else level > cfg.path_len_N:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, cfg.kmax + 1):
+                x = threshold_vector(x + op.apply_adjoint(y - op.apply(x)), lam, cfg.penalty)
+                count += 2
+                if not np.all(np.isfinite(x)):
+                    raise DivergenceError(lam, level, k)
+            rnorm = float(np.linalg.norm(y - op.apply(x)))
+            pen = np.sum(np.abs(x)) if cfg.penalty is Penalty.L1 else np.count_nonzero(x)
+            levels.append((lam, x, rnorm, 0.5 * rnorm ** 2 + lam * float(pen), count))
+    lambdas, solutions, rnorms, objectives, counts = zip(*levels)
+    return {
+        "lambdas": np.array(lambdas), "solutions": list(solutions),
+        "residual_norms": np.array(rnorms), "objective_values": np.array(objectives),
+        "matvec_cumulative": np.array(counts, dtype=np.int64),
+    }
+
+
+def _oracle_problem(kind):
+    if kind == "fft-haar":
+        return gen_problem("fft-haar", n=48, p=64, s=5, dr=10.0, sigma=1e-3, seed=6)
+    return gen_problem(kind, n=30, p=60, s=3, dr=10.0, sigma=1e-2, seed=6,
+                       nu=0.3 if kind == "correlated" else None)
+
+
+STOPS = {"path": ("path", None), "explicit": (0.05, None),
+         "auto": ("auto", TheoryParams(mu=0.05, s=1, c=3.0, epsilon=0.05))}
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "correlated", "fft-haar"])
+@pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
+@pytest.mark.parametrize("lambda0", ["auto", 3.0])
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_carried_residual_matches_recomputing_loop(kind, penalty, lambda0, stop):
+    """Carrying the residual changes no bit of the path record."""
+    problem = _oracle_problem(kind)
+    lam_star, theory = STOPS[stop]
+    cfg = SolverConfig(penalty=penalty, lambda0=lambda0, gamma=0.8, kmax=3,
+                       lambda_star=lam_star, path_len_N=30)
+    lam_stop = lambda_star(theory, penalty) if stop == "auto" else (
+        None if stop == "path" else lam_star)
+    ref = _recomputing_loop(problem.op, problem.y, cfg, lam_stop)
+    x_star, path = continuation_solve(problem.op, problem.y, cfg, theory)
+    for name in ("lambdas", "residual_norms", "objective_values", "matvec_cumulative"):
+        assert np.array_equal(getattr(path, name), ref[name]), name
+    assert len(path.solutions) == len(ref["solutions"])
+    for got, want in zip(path.solutions, ref["solutions"]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(x_star, ref["solutions"][-1])
+    assert path.n_matvec == ref["matvec_cumulative"][-1]
+    for support, sol in zip(path.supports, ref["solutions"]):
+        assert np.array_equal(support, np.flatnonzero(sol))
+
+
+def test_carried_residual_diverges_where_recomputing_loop_does():
+    op, y = _diverging_instance()
+    cfg = SolverConfig(penalty=Penalty.L1, gamma=0.8, lambda_star="path", path_len_N=100,
+                       kmax=40)
+    with pytest.raises(DivergenceError) as want:
+        _recomputing_loop(op, y, cfg, None)
+    with pytest.raises(DivergenceError) as got:
+        continuation_solve(op, y, cfg)
+    assert (got.value.lam, got.value.level, got.value.inner_k) == (
+        want.value.lam, want.value.level, want.value.inner_k)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "fft-haar"])
+@pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
+@pytest.mark.parametrize("lambda0", ["auto", 3.0])
+def test_every_operator_application_is_counted(kind, penalty, lambda0, monkeypatch):
+    problem = _oracle_problem(kind)
+    calls = []
+    for name in ("apply", "apply_adjoint"):
+        def counted(self, *args, _orig=getattr(SensingOperator, name), **kwargs):
+            calls.append(1)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(SensingOperator, name, counted)
+    cfg = SolverConfig(penalty=penalty, lambda0=lambda0, gamma=0.8, lambda_star="path",
+                       path_len_N=20)
+    _, path = continuation_solve(problem.op, problem.y, cfg)
+    assert len(calls) == path.n_matvec == path.matvec_cumulative[-1]
+
+
 # ---------------------------------------------------------------------------
 # Inner iteration
 # ---------------------------------------------------------------------------
@@ -169,16 +277,17 @@ def test_divergence_error_carries_diagnostics():
 def test_inner_iterate_orthonormal_collapse():
     op = _orthonormal_op(12, 12, seed=8)
     y = np.random.default_rng(9).standard_normal(12)
-    out = inner_iterate(op, y, np.zeros(12), 0.4, Penalty.L1)
+    out, r = inner_iterate(op, y, np.zeros(12), y, 0.4, Penalty.L1)
     ref = threshold_vector(op.apply_adjoint(y), 0.4, Penalty.L1)
     np.testing.assert_allclose(out, ref, atol=1e-14)
+    np.testing.assert_allclose(r, y - op.apply(out), atol=1e-14)
 
 
 def test_inner_iterate_fixed_point():
     op = _orthonormal_op(12, 12, seed=8)
     y = np.random.default_rng(10).standard_normal(12)
-    fp = inner_iterate(op, y, np.zeros(12), 0.4, Penalty.L1)
-    again = inner_iterate(op, y, fp, 0.4, Penalty.L1)
+    fp, r = inner_iterate(op, y, np.zeros(12), y, 0.4, Penalty.L1)
+    again, _ = inner_iterate(op, y, fp, r, 0.4, Penalty.L1)
     assert np.max(np.abs(again - fp)) <= 1e-12
 
 
@@ -192,9 +301,9 @@ def test_inner_iterate_matches_naive_step():
     lam = 0.2
     mat = np.asarray(op.matrix)
     naive = threshold_vector(x + mat.T @ (y - mat @ x), lam, Penalty.L0)
-    np.testing.assert_allclose(
-        inner_iterate(op, y, x, lam, Penalty.L0), naive, atol=1e-13
-    )
+    out, r = inner_iterate(op, y, x, y - op.apply(x), lam, Penalty.L0)
+    np.testing.assert_allclose(out, naive, atol=1e-13)
+    np.testing.assert_allclose(r, y - mat @ naive, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

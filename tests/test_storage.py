@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ishtc.linop import make_partial_fft_haar, normalize_columns
-from ishtc.storage import MAGIC, operator_from_config, read_array, write_array
+from ishtc.storage import MAGIC, operator_from_config, read_array, write_array, write_csv
 
 
 def test_vector_round_trip(tmp_path):
@@ -21,6 +21,14 @@ def test_matrix_round_trip(tmp_path):
     back = read_array(path)
     assert back.shape == (5, 9)
     np.testing.assert_array_equal(back, m)
+
+
+def test_csv_cells(tmp_path):
+    """Strings as they are, integers in decimal, other numbers as float repr."""
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b,c,d,e", [("x", 3, np.int64(7), np.float64(0.1), 2.0),
+                                  ("", -1, np.int64(0), np.float64("nan"), 1e-300)])
+    assert path.read_text() == "a,b,c,d,e\nx,3,7,0.1,2.0\n,-1,0,nan,1e-300\n"
 
 
 def test_header_layout(tmp_path):
