@@ -24,15 +24,15 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
-    SweepSpec, bench_to_csv, benchmark_table, curve90_to_csv, fit_90pct_curve, phase_to_csv,
-    phase_transition_grid, support_probability_sweep, sweep_to_csv,
+    SweepSpec, bench_to_csv, benchmark_table, curve90_to_csv, phase_to_csv, phase_transition_grid,
+    support_probability_sweep, sweep_to_csv,
 )
 from .linop import mutual_coherence
 from .modelselect import run_full_path, scores_to_csv, select_bic
 from .probgen import MATRIX_KINDS, gen_problem, load_problem, save_problem
 from .solver import (
     DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError, SolverConfig, TheoryParams,
-    continuation_solve,
+    continuation_solve, lambda_star,
 )
 from .storage import write_array, write_manifest
 from .thresholding import Penalty
@@ -160,20 +160,26 @@ def cmd_gen(params: dict, args: argparse.Namespace) -> int:
 
 def cmd_solve(params: dict, args: argparse.Namespace) -> int:
     problem = load_problem(params["problem"])
-    keys = ("penalty", "lambda0", "gamma", "kmax", "lambda_star", "path_len_N")
-    config = SolverConfig(**_pick(params, *keys))
-    theory = None
-    if config.lambda_star == "auto":
+    keys = ("penalty", "lambda0", "gamma", "kmax", "path_len_N")
+    level = params["lambda_star"]
+    if level == "auto":
         # mu_s is the coherence-sparsity product; every bound depends on mu
         # and s only through it, so it is stored as (mu=mu_s, s=1).
-        c_key = "c1" if config.penalty is Penalty.L1 else "c0"
+        c_key = "c1" if params["penalty"] == "l1" else "c0"
         if params["mu_s"] is None:
             raise ValueError("--lambda-star auto needs --mu-s")
         if params[c_key] is None:
             raise ValueError(f"--lambda-star auto with penalty {params['penalty']} needs --{c_key}")
         theory = TheoryParams(mu=params["mu_s"], s=1, c=params[c_key], epsilon=problem.epsilon)
+        level = lambda_star(theory, Penalty(params["penalty"]))
+        if not level > 0:
+            raise ValueError(
+                "derived stopping level is not positive; with zero noise run "
+                "the full path and select a level afterwards"
+            )
+    config = SolverConfig(**_pick(params, *keys), lambda_star=level)
     t0 = time.perf_counter()
-    x_star, path = continuation_solve(problem.op, problem.y, config, theory)
+    x_star, path = continuation_solve(problem.op, problem.y, config)
     outputs = {"x_star.bin": partial(write_array, arr=x_star), "path.csv": path.to_csv}
     record = {"solver_config": config.to_json_dict(), "n_matvec": path.n_matvec,
               "path_levels": len(path)}
@@ -221,7 +227,6 @@ def cmd_phase(params: dict, args: argparse.Namespace) -> int:
     grid = phase_transition_grid(
         deltas, rhos, success_threshold=params["threshold"], base_seed=params["seed"],
         **_pick(params, "p", "trials", "sigma"), **_experiment_kwargs(params))
-    fit_90pct_curve(grid)
     outputs = {"phase.csv": partial(phase_to_csv, grid),
                "curve90.csv": partial(curve90_to_csv, grid)}
     return _finish(args, t0, "phase", {**params, "delta_grid": deltas, "rho_grid": rhos}, outputs,

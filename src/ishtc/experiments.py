@@ -134,9 +134,8 @@ def sweep_to_csv(rows: Sequence[Tuple[float, float]], path: Union[str, Path]) ->
 class PhaseGrid:
     """Success counts over the (delta=n/p, rho=s/n) plane.
 
-    ``successes[i, j]`` counts trials at ``delta_grid[i], rho_grid[j]`` whose
-    relative L2 error stayed at or below ``success_threshold``. ``curve90``
-    (with per-column method flags) is filled by :func:`fit_90pct_curve`.
+    ``successes[i, j]`` counts the ``trials`` at ``delta_grid[i], rho_grid[j]``
+    that succeeded; ``p`` is the signal length every cell shares.
     """
 
     delta_grid: np.ndarray
@@ -144,12 +143,6 @@ class PhaseGrid:
     successes: np.ndarray
     trials: int
     p: int
-    penalty: Penalty
-    success_threshold: float
-    sigma: float
-    base_seed: int
-    curve90: Optional[np.ndarray] = None
-    curve90_flags: Optional[List[str]] = None
 
     @property
     def success_rates(self) -> np.ndarray:
@@ -199,10 +192,6 @@ def phase_transition_grid(
         successes=np.zeros((delta_grid.size, rho_grid.size), dtype=np.int64),
         trials=trials,
         p=p,
-        penalty=penalty,
-        success_threshold=success_threshold,
-        sigma=sigma,
-        base_seed=base_seed,
     )
     tasks = [
         (i, j, t)
@@ -271,7 +260,7 @@ def fit_90pct_curve(grid: PhaseGrid) -> Tuple[np.ndarray, List[str]]:
     Columns whose rates never straddle 0.9 are clamped to the grid edge
     (flag "clamped"); a failed or out-of-range logistic fit falls back to
     linear interpolation of the empirical rates (flag "interp"); otherwise
-    the flag is "logistic". Results are also stored on the grid.
+    the flag is "logistic".
     """
     rho = grid.rho_grid
     rho90 = np.empty(grid.delta_grid.size)
@@ -301,8 +290,6 @@ def fit_90pct_curve(grid: PhaseGrid) -> Tuple[np.ndarray, List[str]]:
                     flag = "clamped"
         rho90[i] = val
         flags.append(flag)
-    grid.curve90 = rho90
-    grid.curve90_flags = flags
     return rho90, flags
 
 
@@ -326,9 +313,8 @@ def phase_to_csv(grid: PhaseGrid, path: Union[str, Path]) -> None:
 
 
 def curve90_to_csv(grid: PhaseGrid, path: Union[str, Path]) -> None:
-    if grid.curve90 is None:
-        fit_90pct_curve(grid)
-    write_csv(path, "delta,rho90,flag", zip(grid.delta_grid, grid.curve90, grid.curve90_flags))
+    """One row per delta: the fitted 90% rho and its method flag."""
+    write_csv(path, "delta,rho90,flag", zip(grid.delta_grid, *fit_90pct_curve(grid)))
 
 
 # ---------------------------------------------------------------------------

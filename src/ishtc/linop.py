@@ -181,14 +181,6 @@ class SensingOperator:
             e[j] = 0.0
         return cols
 
-    def config(self) -> dict:
-        """JSON-serializable description (reconstructs implicit operators)."""
-        cfg = {"kind": self.kind, "n": self.n, "p": self.p}
-        if self.kind == "partial-fft-haar":
-            cfg["levels"] = self.levels
-            cfg["seed"] = self.seed
-        return cfg
-
 
 @dataclass(frozen=True)
 class CoherenceReport:
@@ -197,12 +189,8 @@ class CoherenceReport:
     mu: float
     argmax_pair: tuple[int, int]
 
-    def assumption_holds(self, s: int) -> bool:
-        """Whether ``mu * s < 1/2``, the regime the recovery guarantee needs."""
-        return self.mu * s < 0.5
 
-
-def dense_operator(matrix: np.ndarray, seed: Optional[int] = None) -> SensingOperator:
+def dense_operator(matrix: np.ndarray) -> SensingOperator:
     """Wrap an already column-normalized matrix as a dense operator."""
     matrix = np.asfortranarray(matrix, dtype=np.float64)
     n, p = matrix.shape
@@ -215,7 +203,7 @@ def dense_operator(matrix: np.ndarray, seed: Optional[int] = None) -> SensingOpe
             f"columns must have unit norm; column {worst} has norm {norms[worst]:.3g}"
         )
     matrix.setflags(write=False)
-    return SensingOperator(n=n, p=p, kind="dense", matrix=matrix, seed=seed)
+    return SensingOperator(n=n, p=p, kind="dense", matrix=matrix)
 
 
 def normalize_columns(raw: np.ndarray) -> tuple[SensingOperator, np.ndarray]:
@@ -235,15 +223,15 @@ def normalize_columns(raw: np.ndarray) -> tuple[SensingOperator, np.ndarray]:
     return SensingOperator(n=n, p=p, kind="dense", matrix=mat), scales
 
 
-def mutual_coherence(op: SensingOperator, budget_p: int = COHERENCE_BUDGET_P) -> CoherenceReport:
+def mutual_coherence(op: SensingOperator) -> CoherenceReport:
     """Exact maximum of ``|<psi_i, psi_j>|`` over all column pairs ``i != j``.
 
     Implicit operators are densified column-by-column first, which costs p
-    operator applications; refuse when ``p`` exceeds ``budget_p``.
+    operator applications; refuse when ``p`` exceeds :data:`COHERENCE_BUDGET_P`.
     """
-    if op.kind != "dense" and op.p > budget_p:
+    if op.kind != "dense" and op.p > COHERENCE_BUDGET_P:
         raise ValueError(
-            f"coherence computation over budget: p={op.p} exceeds {budget_p} "
+            f"coherence computation over budget: p={op.p} exceeds {COHERENCE_BUDGET_P} "
             "for an implicit operator"
         )
     mat = op.matrix if op.kind == "dense" else op.densify()

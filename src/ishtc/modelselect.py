@@ -86,9 +86,7 @@ def bic_score(x: np.ndarray, residual_sq: float, n: int) -> float:
     return n * math.log(rss / n) + support_size * (math.log(n) + 2.0 * math.log(x.size))
 
 
-def select_bic(
-    path: PathResult, y: np.ndarray, n: Union[int, None] = None
-) -> Tuple[float, np.ndarray, List[BicScore]]:
+def select_bic(path: PathResult, y: np.ndarray) -> Tuple[float, np.ndarray, List[BicScore]]:
     """Score every path entry and return the minimizer.
 
     Ties break toward the larger level (the sparser side), independent of
@@ -96,8 +94,7 @@ def select_bic(
     """
     if len(path) == 0:
         raise ValueError("empty path")
-    if n is None:
-        n = int(np.asarray(y).shape[0])
+    n = int(np.asarray(y).shape[0])
     scores: List[BicScore] = []
     best = -1
     for i in range(len(path)):

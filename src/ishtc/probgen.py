@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .linop import SensingOperator, dense_operator, make_partial_fft_haar, normalize_columns
-from .storage import operator_from_config, read_array, write_array, write_manifest
+from .storage import read_array, write_array, write_manifest
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -191,16 +191,20 @@ def gen_problem(
 def save_problem(problem: Problem, out_dir: Union[str, Path]) -> Path:
     """Write a problem directory: binary arrays plus a JSON manifest.
 
-    Dense operators get a ``matrix.bin``; the implicit kind is rebuilt from
-    its config. Returns the manifest path.
+    The manifest's ``"op"`` entry names the operator's kind and size. A dense
+    operator's matrix goes to ``matrix.bin``; the implicit kind records the
+    wavelet depth and seed it is rebuilt from. Returns the manifest path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_array(out / "x_true.bin", problem.x_true)
     write_array(out / "y.bin", problem.y)
-    op_cfg = problem.op.config()
-    if problem.op.kind == "dense":
-        write_array(out / "matrix.bin", np.asarray(problem.op.matrix))
+    op = problem.op
+    op_cfg = {"kind": op.kind, "n": op.n, "p": op.p}
+    if op.kind == "dense":
+        write_array(out / "matrix.bin", np.asarray(op.matrix))
+    else:
+        op_cfg.update(levels=op.levels, seed=op.seed)
     manifest_path = out / "manifest.json"
     write_manifest(manifest_path, {
         "op": op_cfg,
@@ -213,15 +217,21 @@ def save_problem(problem: Problem, out_dir: Union[str, Path]) -> Path:
 
 
 def load_problem(in_dir: Union[str, Path]) -> Problem:
-    """Inverse of :func:`save_problem`."""
+    """Inverse of :func:`save_problem`; an unknown operator kind is a ValueError."""
     src = Path(in_dir)
     manifest_path = src / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {src}")
     manifest = json.loads(manifest_path.read_text())
     op_cfg = manifest["op"]
-    matrix_path = src / "matrix.bin" if op_cfg.get("kind") == "dense" else None
-    op = operator_from_config(op_cfg, matrix_path)
+    kind = op_cfg.get("kind")
+    if kind == "dense":
+        op = dense_operator(read_array(src / "matrix.bin"))
+    elif kind == "partial-fft-haar":
+        op = make_partial_fft_haar(p=int(op_cfg["p"]), n=int(op_cfg["n"]),
+                                   levels=int(op_cfg["levels"]), seed=int(op_cfg["seed"]))
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
     return Problem(
         op=op,
         x_true=read_array(src / "x_true.bin"),

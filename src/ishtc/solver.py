@@ -4,9 +4,9 @@ The main entry point is :func:`continuation_solve`: starting from ``x = 0``
 at a large penalty level ``lambda0``, it repeatedly shrinks the level by a
 factor ``gamma``, runs ``kmax`` fixed-stepsize thresholded gradient steps
 warm-started from the previous level's solution, and records every per-level
-estimate. Stopping is either at an explicit target level, at a level derived
-from coherence/noise constants (:class:`TheoryParams`), or after a fixed
-number of levels ("path" mode, for model selection afterwards).
+estimate. Stopping is either at an explicit target level (such as the
+noise-calibrated :func:`lambda_star` of :class:`TheoryParams`), or after a
+fixed number of levels ("path" mode, for model selection afterwards).
 
 :func:`baseline_solve` is the plain single-level iteration with a
 configurable stepsize, kept as a reference point; it has no continuation.
@@ -30,6 +30,10 @@ from .thresholding import Penalty, threshold_vector
 DEFAULT_KMAX = 5
 DEFAULT_GAMMA = 0.8
 DEFAULT_PATH_LEN = 100
+
+#: Most inner steps (``kmax`` x levels) one solve may plan; a config past it
+#: is refused before the first level instead of running without end.
+MAX_INNER_STEPS = 10**6
 
 
 class DivergenceError(RuntimeError):
@@ -56,10 +60,10 @@ class SolverConfig:
 
     ``lambda0`` is the starting level, or ``"auto"`` for the largest level at
     which 0 is still the exact minimizer (costs one adjoint matvec).
-    ``lambda_star`` is the stopping level, or ``"auto"`` to derive it from
-    :class:`TheoryParams`, or ``"path"`` to run exactly ``path_len_N`` levels
-    and leave the choice to model selection. Numeric levels must be finite
-    and positive; ``kmax`` and ``path_len_N`` must be integers (not bools).
+    ``lambda_star`` is the stopping level (e.g. from :func:`lambda_star`), or
+    ``"path"`` to run exactly ``path_len_N`` levels and leave the choice to
+    model selection. Numeric levels must be finite and positive; ``kmax`` and
+    ``path_len_N`` must be integers (not bools).
     """
 
     penalty: Penalty
@@ -87,9 +91,9 @@ class SolverConfig:
         elif not 0 < self.lambda0 < math.inf:
             raise ValueError(f"lambda0 must be finite and > 0, got {self.lambda0}")
         if isinstance(self.lambda_star, str):
-            if self.lambda_star not in ("auto", "path"):
+            if self.lambda_star != "path":
                 raise ValueError(
-                    f"lambda_star must be a positive number, 'auto', or 'path', got {self.lambda_star!r}"
+                    f"lambda_star must be a positive number or 'path', got {self.lambda_star!r}"
                 )
         elif not 0 < self.lambda_star < math.inf:
             raise ValueError(f"lambda_star must be finite and > 0, got {self.lambda_star}")
@@ -111,16 +115,6 @@ class SolverConfig:
             "lambda_star": self.lambda_star,
             "path_len_N": self.path_len_N,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SolverConfig":
-        known = {"penalty", "lambda0", "gamma", "kmax", "lambda_star", "path_len_N"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-        if "penalty" not in d:
-            raise ValueError("solver config needs a 'penalty' key ('l1' or 'l0')")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -286,20 +280,30 @@ def _auto_lambda0(z_inf: float, penalty: Penalty) -> float:
     return z_inf ** 2 / 2.0
 
 
+def _levels_above(lam0: float, lam_stop: float, gamma: float, cap: int) -> int:
+    """Levels ``gamma**k * lam0`` still at or above ``lam_stop``, computed with
+    the solve loop's own arithmetic; counting stops past ``cap``."""
+    levels, lam = 0, gamma * lam0
+    while lam >= lam_stop and levels <= cap:
+        levels += 1
+        lam = gamma * lam
+    return levels
+
+
 def continuation_solve(
     op: SensingOperator,
     y: np.ndarray,
     config: SolverConfig,
-    theory: Optional[TheoryParams] = None,
 ) -> Tuple[np.ndarray, PathResult]:
     """Run the full continuation loop.
 
-    Returns the final estimate and the per-level path. In "auto"/explicit
-    stopping mode the final estimate is the solution at the last level whose
+    Returns the final estimate and the per-level path. With a numeric
+    stopping level the final estimate is the solution at the last level whose
     value is still >= the stopping level; in "path" mode it is the solution
     at the last of the ``path_len_N`` levels (use BIC selection afterwards).
 
-    Raises :class:`ValueError` on non-finite data and
+    Raises :class:`ValueError` on non-finite data or when the solve would
+    plan more than :data:`MAX_INNER_STEPS` inner steps, and
     :class:`DivergenceError` on a non-finite iterate.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -314,19 +318,17 @@ def continuation_solve(
     else:
         lam0 = float(config.lambda0)
 
-    if config.lambda_star == "auto":
-        if theory is None:
-            raise ValueError("lambda_star='auto' needs theory parameters")
-        lam_stop: Optional[float] = lambda_star(theory, config.penalty)
-        if lam_stop <= 0:
-            raise ValueError(
-                "derived stopping level is not positive; with zero noise run "
-                "the full path and select a level afterwards"
-            )
-    elif config.lambda_star == "path":
-        lam_stop = None
+    cap = MAX_INNER_STEPS // config.kmax
+    if config.lambda_star == "path":
+        # Auto rule on all-zero data gives level 0; nothing to shrink toward.
+        n_levels = config.path_len_N if lam0 > 0.0 else 0
     else:
-        lam_stop = float(config.lambda_star)
+        n_levels = _levels_above(lam0, float(config.lambda_star), config.gamma, cap)
+    if n_levels > cap:
+        raise ValueError(
+            f"the solve would run more than {cap} levels of {config.kmax} inner steps, "
+            f"over MAX_INNER_STEPS = {MAX_INNER_STEPS}"
+        )
 
     x, r = np.zeros(op.p), y
     lambdas = [lam0]
@@ -335,32 +337,23 @@ def continuation_solve(
     objective_values = [0.5 * residual_norms[0] ** 2]
     matvec_cum = [counter.count]
 
-    # Auto rule on all-zero data gives level 0; nothing to shrink toward.
-    if lam0 > 0.0:
-        lam = lam0
-        level = 0
-        while True:
-            level += 1
-            lam = config.gamma * lam
-            if lam_stop is not None:
-                if lam < lam_stop:
-                    break
-            elif level > config.path_len_N:
-                break
-            # Overflow surfaces as the explicit divergence error below, so
-            # numpy's own warnings are suppressed.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(1, config.kmax + 1):
-                    x, r = inner_iterate(op, y, x, r, lam, config.penalty, counter)
-                    if not np.all(np.isfinite(x)):
-                        raise DivergenceError(lam, level, k)
-                rnorm = float(np.linalg.norm(r))
-                objective = 0.5 * rnorm ** 2 + lam * _penalty_term(x, config.penalty)
-            lambdas.append(lam)
-            solutions.append(x)
-            residual_norms.append(rnorm)
-            objective_values.append(objective)
-            matvec_cum.append(counter.count)
+    lam = lam0
+    for level in range(1, n_levels + 1):
+        lam = config.gamma * lam
+        # Overflow surfaces as the explicit divergence error below, so
+        # numpy's own warnings are suppressed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, config.kmax + 1):
+                x, r = inner_iterate(op, y, x, r, lam, config.penalty, counter)
+                if not np.all(np.isfinite(x)):
+                    raise DivergenceError(lam, level, k)
+            rnorm = float(np.linalg.norm(r))
+            objective = 0.5 * rnorm ** 2 + lam * _penalty_term(x, config.penalty)
+        lambdas.append(lam)
+        solutions.append(x)
+        residual_norms.append(rnorm)
+        objective_values.append(objective)
+        matvec_cum.append(counter.count)
 
     path = PathResult(
         lambdas=np.array(lambdas),
@@ -372,13 +365,13 @@ def continuation_solve(
     return path.x_star.copy(), path
 
 
-def operator_norm_sq(op: SensingOperator, iters: int = 100) -> float:
-    """Power-iteration estimate of the squared spectral norm (from below)."""
+def operator_norm_sq(op: SensingOperator) -> float:
+    """Squared spectral norm, estimated from below by 100 power iterations."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(op.p)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(100):
         w = op.apply_adjoint(op.apply(v))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:

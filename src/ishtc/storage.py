@@ -1,5 +1,4 @@
-"""Binary array files, CSV tables, JSON manifests and operator config
-round-tripping.
+"""Binary array files, CSV tables and JSON manifests.
 
 Array files carry a 16-byte header (magic ``ISHT``, u32 rows, u32 cols,
 u32 reserved, all little-endian) followed by the float64 payload in
@@ -18,8 +17,6 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-
-from .linop import SensingOperator, dense_operator, make_partial_fft_haar
 
 MAGIC = b"ISHT"
 _HEADER = struct.Struct("<4sIII")
@@ -73,21 +70,3 @@ def write_csv(path: Union[str, Path], header: str, rows: Iterable[Sequence]) -> 
 
     lines = [header, *(",".join(map(cell, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def operator_from_config(cfg: dict, matrix_path: Union[str, Path, None] = None) -> SensingOperator:
-    """Rebuild an operator from a manifest entry.
-
-    Dense configs need ``matrix_path`` to supply the column-normalized
-    matrix; the implicit kind rebuilds from dimensions, depth, and seed.
-    """
-    kind = cfg.get("kind")
-    if kind == "dense":
-        if matrix_path is None:
-            raise ValueError("dense operator config needs a matrix file")
-        return dense_operator(read_array(matrix_path))
-    if kind == "partial-fft-haar":
-        return make_partial_fft_haar(
-            p=int(cfg["p"]), n=int(cfg["n"]), levels=int(cfg["levels"]), seed=int(cfg["seed"])
-        )
-    raise ValueError(f"unknown operator kind {kind!r}")

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ishtc import solver
 from ishtc.cli import EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
-from ishtc.solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN
+from ishtc.solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, TheoryParams, lambda_star
 from ishtc.storage import read_array, write_array
+from ishtc.thresholding import Penalty
 
 GEN_FLAGS = [
     "gen", "--kind", "gaussian", "--n", "500", "--p", "1000", "--s", "10",
@@ -63,8 +65,41 @@ def test_solve_with_guarantee_stop(tmp_path):
     lines = (out / "path.csv").read_text().strip().splitlines()
     assert lines[0].startswith("lambda,")
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["solver_config"]["lambda_star"] == "auto"
+    assert manifest["params"]["lambda_star"] == "auto"
     assert manifest["params"]["mu_s"] == 0.05
+    epsilon = json.loads((prob_dir / "manifest.json").read_text())["epsilon"]
+    level = lambda_star(TheoryParams(0.05, 1, 3.0, epsilon), Penalty.L0)
+    assert manifest["solver_config"]["lambda_star"] == level
+
+    # The derived level given as a number runs the same solve, byte for byte.
+    explicit = tmp_path / "explicit"
+    assert main(["solve", "--problem", str(prob_dir), "--penalty", "l0",
+                 "--lambda-star", repr(level), "--out", str(explicit)]) == EXIT_OK
+    for name in ("x_star.bin", "path.csv"):
+        assert (explicit / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_solve_auto_stop_with_zero_noise_exit_2(tmp_path, capsys):
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir, sigma="0")
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(prob_dir), "--penalty", "l1", "--lambda-star", "auto",
+               "--mu-s", "0.05", "--c1", "3", "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    assert "not positive" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_solve_lambda0_at_or_below_derived_stop_exit_2(scale, tmp_path):
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    epsilon = json.loads((prob_dir / "manifest.json").read_text())["epsilon"]
+    level = lambda_star(TheoryParams(0.05, 1, 3.0, epsilon), Penalty.L0)
+    rc = main(["solve", "--problem", str(prob_dir), "--penalty", "l0", "--lambda-star", "auto",
+               "--mu-s", "0.05", "--c0", "3", "--lambda0", repr(scale * level),
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_defaults_to_full_path(tmp_path):
@@ -309,6 +344,44 @@ def test_solve_rejects_infinite_lambda0(tmp_path, capsys):
                "--lambda-star", "0.01", "--out", str(tmp_path / "run")])
     assert rc == EXIT_SCHEMA
     assert json.loads(capsys.readouterr().err.strip())["exit_code"] == EXIT_SCHEMA
+
+
+def test_path_longer_than_the_bound_exit_2(tmp_path, capsys):
+    """path_len_N 1e300 in a JSON config is integral, so only the solver's
+    inner-step bound refuses it."""
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"path_len_N": 1e300}')
+    capsys.readouterr()
+    rc = main(["path", "--problem", str(prob_dir), "--penalty", "l1", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    assert "MAX_INNER_STEPS" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_stop_beyond_the_bound_exit_2_before_a_level(tmp_path, capsys, monkeypatch):
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    monkeypatch.setattr(solver, "inner_iterate", None)  # any call would fail
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(prob_dir), "--penalty", "l1", "--lambda-star", "0.01",
+               "--gamma", "0.999999999999", "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    assert "MAX_INNER_STEPS" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_path_on_unknown_operator_kind_exit_2(tmp_path, capsys):
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    manifest = json.loads((prob_dir / "manifest.json").read_text())
+    manifest["op"]["kind"] = "toeplitz"
+    (prob_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["path", "--problem", str(prob_dir), "--penalty", "l1",
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    assert "toeplitz" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
 def test_path_rejects_nan_data(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -34,10 +36,6 @@ def _column_grid(rho, successes, trials):
         successes=np.asarray(successes, dtype=float)[None, :],
         trials=trials,
         p=100,
-        penalty=Penalty.L1,
-        success_threshold=1e-2,
-        sigma=1e-6,
-        base_seed=0,
     )
 
 
@@ -110,10 +108,16 @@ def test_fit_bracketing_column():
 
 def test_fit_all_success_clamped_high():
     grid = _column_grid([0.1, 0.3, 0.5], [4, 4, 4], trials=4)
+    before = copy.deepcopy(grid)
     rho90, flags = fit_90pct_curve(grid)
     assert float(rho90[0]) == 0.5
     assert flags[0] == "clamped"
-    assert grid.curve90 is not None and grid.curve90_flags == flags
+    # The fit is pure: the grid keeps its five fields and their values.
+    assert [f.name for f in dataclasses.fields(PhaseGrid)] == [
+        "delta_grid", "rho_grid", "successes", "trials", "p"]
+    assert vars(grid).keys() == vars(before).keys()
+    for name, value in vars(before).items():
+        assert np.array_equal(getattr(grid, name), value), name
 
 
 def test_fit_all_failure_clamped_low():
@@ -146,7 +150,6 @@ def test_median_smooth():
 
 def test_phase_csv_writers(tmp_path):
     grid = _column_grid([0.1, 0.5], [4, 0], trials=4)
-    fit_90pct_curve(grid)
     phase_path = tmp_path / "phase.csv"
     curve_path = tmp_path / "curve90.csv"
     phase_to_csv(grid, phase_path)

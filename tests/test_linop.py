@@ -108,7 +108,6 @@ def test_coherence_exhaustive_pair_oracle():
     report = mutual_coherence(op)
     assert report.mu == pytest.approx(best, abs=1e-14)
     assert 0.0 <= report.mu <= 1.0
-    assert report.assumption_holds(1) == (report.mu < 0.5)
 
 
 def test_coherence_budget_error():

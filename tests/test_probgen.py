@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -180,8 +182,22 @@ def test_problem_save_load_round_trip(tmp_path, kind, extra):
     np.testing.assert_array_equal(back.x_true, prob.x_true)
     np.testing.assert_array_equal(back.y, prob.y)
     assert back.epsilon == prob.epsilon
+    assert (back.op.kind, back.op.n, back.op.p) == (prob.op.kind, 20, p)
+    if kind == "fft-haar":
+        assert (back.op.levels, back.op.seed) == (2, prob.op.seed)
+    else:
+        np.testing.assert_array_equal(back.op.matrix, prob.op.matrix)
     x = np.random.default_rng(0).standard_normal(p)
     np.testing.assert_array_equal(back.op.apply(x), prob.op.apply(x))
+
+
+def test_load_problem_unknown_operator_kind(tmp_path):
+    save_problem(gen_problem("gaussian", n=10, p=20, s=2, dr=1.0, sigma=0.0, seed=0), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["op"]["kind"] = "toeplitz"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="toeplitz"):
+        load_problem(tmp_path)
 
 
 def test_load_problem_missing_dir(tmp_path):

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ishtc import solver
 from ishtc.linop import SensingOperator, dense_operator, normalize_columns
 from ishtc.probgen import gen_problem
 from ishtc.solver import (
@@ -210,8 +212,8 @@ def _oracle_problem(kind):
                        nu=0.3 if kind == "correlated" else None)
 
 
-STOPS = {"path": ("path", None), "explicit": (0.05, None),
-         "auto": ("auto", TheoryParams(mu=0.05, s=1, c=3.0, epsilon=0.05))}
+#: Stops by name; "auto" is the level the guarantee constants derive.
+STOPS = {"path": "path", "explicit": 0.05, "auto": TheoryParams(mu=0.05, s=1, c=3.0, epsilon=0.05)}
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "correlated", "fft-haar"])
@@ -221,13 +223,11 @@ STOPS = {"path": ("path", None), "explicit": (0.05, None),
 def test_carried_residual_matches_recomputing_loop(kind, penalty, lambda0, stop):
     """Carrying the residual changes no bit of the path record."""
     problem = _oracle_problem(kind)
-    lam_star, theory = STOPS[stop]
+    lam_star = lambda_star(STOPS[stop], penalty) if stop == "auto" else STOPS[stop]
     cfg = SolverConfig(penalty=penalty, lambda0=lambda0, gamma=0.8, kmax=3,
                        lambda_star=lam_star, path_len_N=30)
-    lam_stop = lambda_star(theory, penalty) if stop == "auto" else (
-        None if stop == "path" else lam_star)
-    ref = _recomputing_loop(problem.op, problem.y, cfg, lam_stop)
-    x_star, path = continuation_solve(problem.op, problem.y, cfg, theory)
+    ref = _recomputing_loop(problem.op, problem.y, cfg, None if stop == "path" else lam_star)
+    x_star, path = continuation_solve(problem.op, problem.y, cfg)
     for name in ("lambdas", "residual_norms", "objective_values", "matvec_cumulative"):
         assert np.array_equal(getattr(path, name), ref[name]), name
     assert len(path.solutions) == len(ref["solutions"])
@@ -365,6 +365,8 @@ def test_config_validation():
         SolverConfig(penalty=Penalty.L1, gamma=0.5, lambda0=-1.0, lambda_star=0.1)
     with pytest.raises(ValueError):
         SolverConfig(penalty=Penalty.L1, gamma=0.5, lambda0=0.05, lambda_star=0.1)
+    with pytest.raises(ValueError, match="'path'"):
+        SolverConfig(penalty=Penalty.L1, lambda_star="auto")
 
 
 @pytest.mark.parametrize("field", ["lambda0", "lambda_star"])
@@ -405,15 +407,50 @@ def test_config_json_round_trip():
     assert set(json.loads(blob)) == {
         "penalty", "lambda0", "gamma", "kmax", "lambda_star", "path_len_N"
     }
-    assert SolverConfig.from_json_dict(json.loads(blob)) == cfg
 
 
-def test_config_rejects_unknown_keys():
-    cfg = SolverConfig(penalty=Penalty.L1, gamma=0.8, lambda_star=0.1)
-    payload = cfg.to_json_dict()
-    payload["stepsize"] = 2.0
-    with pytest.raises(ValueError):
-        SolverConfig.from_json_dict(payload)
+# ---------------------------------------------------------------------------
+# Bound on the work of one solve
+# ---------------------------------------------------------------------------
+
+
+def test_path_at_the_bound_runs_and_one_level_more_is_refused(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_INNER_STEPS", 60)
+    op, y = _small_instance()
+    _, path = continuation_solve(op, y, SolverConfig(penalty=Penalty.L1, kmax=3, path_len_N=20))
+    assert len(path) == 21
+    monkeypatch.setattr(solver, "inner_iterate", None)  # any call would fail
+    with pytest.raises(ValueError, match="MAX_INNER_STEPS"):
+        continuation_solve(op, y, SolverConfig(penalty=Penalty.L1, kmax=3, path_len_N=21))
+
+
+LEVELS = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam0=st.one_of(st.just("auto"), LEVELS), lam_star=st.one_of(st.just("path"), LEVELS),
+       gamma=st.floats(1e-3, 1 - 1e-12), kmax=st.integers(1, 3000),
+       path_len=st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 400)))
+def test_solve_refused_or_within_the_bound(lam0, lam_star, gamma, kmax, path_len):
+    """Any config either is a ValueError or runs at most MAX_INNER_STEPS inner steps."""
+    op, y = dense_operator(np.eye(3)), np.array([3.0, -0.5, 1e-3])
+    steps = []
+
+    def counted(*args):
+        steps.append(1)
+        return inner_iterate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "MAX_INNER_STEPS", 2000)
+        mp.setattr(solver, "inner_iterate", counted)
+        try:
+            cfg = SolverConfig(penalty=Penalty.L1, lambda0=lam0, gamma=gamma, kmax=kmax,
+                               lambda_star=lam_star, path_len_N=path_len)
+            _, path = continuation_solve(op, y, cfg)
+        except ValueError:
+            assert not steps
+            return
+    assert len(steps) == kmax * (len(path) - 1) <= 2000
 
 
 # ---------------------------------------------------------------------------

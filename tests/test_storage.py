@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ishtc.linop import make_partial_fft_haar, normalize_columns
-from ishtc.storage import MAGIC, operator_from_config, read_array, write_array, write_csv
+from ishtc.storage import MAGIC, read_array, write_array, write_csv
 
 
 def test_vector_round_trip(tmp_path):
@@ -56,20 +55,3 @@ def test_truncated_payload_rejected(tmp_path):
     with pytest.raises(ValueError):
         read_array(path)
 
-
-def test_dense_operator_config_round_trip(tmp_path):
-    op, _ = normalize_columns(np.random.default_rng(2).standard_normal((6, 11)))
-    cfg = op.config()
-    assert cfg["kind"] == "dense"
-    mat_path = tmp_path / "matrix.bin"
-    write_array(mat_path, np.asarray(op.matrix))
-    back = operator_from_config(cfg, matrix_path=mat_path)
-    np.testing.assert_array_equal(back.matrix, op.matrix)
-
-
-def test_fft_haar_config_round_trip():
-    op = make_partial_fft_haar(128, 60, levels=2, seed=33)
-    back = operator_from_config(op.config())
-    assert (back.n, back.p, back.levels, back.seed) == (60, 128, 2, 33)
-    x = np.random.default_rng(3).standard_normal(128)
-    np.testing.assert_array_equal(back.apply(x), op.apply(x))
