@@ -11,7 +11,6 @@ reconstruction metrics, and a reproducible experiment harness.
 
 from ishtc.linop import (
     CoherenceReport,
-    MatvecCounter,
     SensingOperator,
     dense_operator,
     make_partial_fft_haar,
@@ -48,7 +47,6 @@ __all__ = [
     "BicScore",
     "CoherenceReport",
     "DivergenceError",
-    "MatvecCounter",
     "Metrics",
     "PathResult",
     "Penalty",

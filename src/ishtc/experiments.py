@@ -338,8 +338,8 @@ def benchmark_table(
     """Mean cost/error metrics per problem size.
 
     Per size p: n = p//4 measurements, s = n//40 nonzeros. The matvec count
-    is the solver's own counter (exact); wall time is measured and therefore
-    the one non-reproducible column. A diverged replication is counted in
+    is the solver's ``PathResult.n_matvec`` (exact); wall time is measured and
+    therefore the one non-reproducible column. A diverged replication is counted in
     ``diverged`` and left out of the means, which are nan when every
     replication diverged.
     """

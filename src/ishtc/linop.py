@@ -4,8 +4,7 @@ Two realizations of the linear map ``R^p -> R^n`` are provided: a dense
 matrix (stored column-major, since column access dominates normalization and
 coherence work) and a matrix-free composition of an inverse orthonormal Haar
 transform, a real-valued unitary DFT, and a seeded row selection. Operators
-are immutable after construction; matvec counting happens through an
-external per-run :class:`MatvecCounter`, never through operator state.
+are immutable after construction and keep no per-run state.
 """
 
 from __future__ import annotations
@@ -19,18 +18,6 @@ import numpy as np
 #: Largest implicit-operator column count for which mutual coherence is
 #: computed by densification (O(p^2 n) work).
 COHERENCE_BUDGET_P = 4096
-
-
-class MatvecCounter:
-    """Accumulates the number of operator applications for one run."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def tick(self) -> None:
-        self.count += 1
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +66,8 @@ def haar_inverse(c: np.ndarray, levels: int) -> np.ndarray:
 def _check_haar_dims(p: int, levels: int) -> None:
     if levels < 1:
         raise ValueError(f"wavelet depth must be >= 1, got {levels}")
-    if p % (1 << levels) != 0:
+    # A huge depth would build a huge 2**levels; past p's bit length none divides p.
+    if p % (1 << min(levels, int(p).bit_length())) != 0:
         raise ValueError(f"signal length {p} is not divisible by 2**{levels}")
 
 
@@ -145,24 +133,20 @@ class SensingOperator:
     col_scale: Optional[np.ndarray] = None
     seed: Optional[int] = field(default=None, compare=False)
 
-    def apply(self, x: np.ndarray, counter: Optional[MatvecCounter] = None) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """Forward map ``x -> Psi x``; counts as one matvec."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.p,):
             raise ValueError(f"expected signal of length {self.p}, got shape {x.shape}")
-        if counter is not None:
-            counter.tick()
         if self.kind == "dense":
             return self.matrix @ x
         return real_dft(haar_inverse(x / self.col_scale, self.levels))[self.rows]
 
-    def apply_adjoint(self, r: np.ndarray, counter: Optional[MatvecCounter] = None) -> np.ndarray:
+    def apply_adjoint(self, r: np.ndarray) -> np.ndarray:
         """Adjoint map ``r -> Psi^t r``; counts as one matvec."""
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (self.n,):
             raise ValueError(f"expected residual of length {self.n}, got shape {r.shape}")
-        if counter is not None:
-            counter.tick()
         if self.kind == "dense":
             return self.matrix.T @ r
         full = np.zeros(self.p)

@@ -216,28 +216,47 @@ def save_problem(problem: Problem, out_dir: Union[str, Path]) -> Path:
     return manifest_path
 
 
+def _manifest_int(entry: dict, key: str) -> int:
+    value = entry.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"manifest: {key} must be an integer, got {value!r}")
+    return value
+
+
 def load_problem(in_dir: Union[str, Path]) -> Problem:
-    """Inverse of :func:`save_problem`; an unknown operator kind is a ValueError."""
+    """Inverse of :func:`save_problem`. An ``op`` entry that is not an object,
+    has an unknown kind, or gives sizes other than those of the array files is
+    a ValueError, raised before the operator is built."""
     src = Path(in_dir)
     manifest_path = src / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {src}")
     manifest = json.loads(manifest_path.read_text())
     op_cfg = manifest["op"]
+    if not isinstance(op_cfg, dict):
+        raise ValueError(f"manifest op entry must be a JSON object, got {op_cfg!r}")
     kind = op_cfg.get("kind")
-    if kind == "dense":
-        op = dense_operator(read_array(src / "matrix.bin"))
-    elif kind == "partial-fft-haar":
-        op = make_partial_fft_haar(p=int(op_cfg["p"]), n=int(op_cfg["n"]),
-                                   levels=int(op_cfg["levels"]), seed=int(op_cfg["seed"]))
-    else:
+    if kind not in ("dense", "partial-fft-haar"):
         raise ValueError(f"unknown operator kind {kind!r}")
+    n, p = _manifest_int(op_cfg, "n"), _manifest_int(op_cfg, "p")
+    x_true, y = read_array(src / "x_true.bin"), read_array(src / "y.bin")
+    if y.shape != (n,) or x_true.shape != (p,):
+        raise ValueError(f"manifest op entry says n={n}, p={p}, but y.bin has shape "
+                         f"{y.shape} and x_true.bin {x_true.shape}")
+    if kind == "dense":
+        matrix = read_array(src / "matrix.bin")
+        if matrix.shape != (n, p):
+            raise ValueError(f"matrix.bin has shape {matrix.shape}, expected {(n, p)}")
+        op = dense_operator(matrix)
+    else:
+        op = make_partial_fft_haar(p=p, n=n, levels=_manifest_int(op_cfg, "levels"),
+                                   seed=_manifest_int(op_cfg, "seed"))
     return Problem(
         op=op,
-        x_true=read_array(src / "x_true.bin"),
-        y=read_array(src / "y.bin"),
+        x_true=x_true,
+        y=y,
         sigma=float(manifest["sigma"]),
         epsilon=float(manifest["epsilon"]),
-        seed=int(manifest["seed"]),
+        seed=_manifest_int(manifest, "seed"),
         meta=manifest.get("meta", {}),
     )

@@ -18,11 +18,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
-from .linop import MatvecCounter, SensingOperator
+from .linop import SensingOperator
 from .storage import write_csv
 from .thresholding import Penalty, threshold_vector
 
@@ -218,7 +218,8 @@ class PathResult:
     Index 0 is the starting level (solution identically 0); every executed
     level appends one entry. ``matvec_cumulative`` counts the operator
     applications spent up to each level: 2 per inner iteration plus 1
-    adjoint when ``lambda0`` was auto-derived. The residual norm of a level
+    adjoint when ``lambda0`` was auto-derived, worked out from the planned
+    levels rather than counted at run time. The residual norm of a level
     is that of the residual its last inner step carried, so it costs none.
     """
 
@@ -258,12 +259,11 @@ def inner_iterate(
     r: np.ndarray,
     lam: float,
     penalty: Penalty,
-    counter: Optional[MatvecCounter] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One thresholded gradient step at unit stepsize from ``x`` and its residual
     ``r = y - Psi x``; returns the new iterate and residual. Exactly 2 matvecs."""
-    x_next = threshold_vector(x + op.apply_adjoint(r, counter), lam, penalty)
-    return x_next, y - op.apply(x_next, counter)
+    x_next = threshold_vector(x + op.apply_adjoint(r), lam, penalty)
+    return x_next, y - op.apply(x_next)
 
 
 def _penalty_term(x: np.ndarray, penalty: Penalty) -> float:
@@ -272,22 +272,30 @@ def _penalty_term(x: np.ndarray, penalty: Penalty) -> float:
     return float(np.count_nonzero(x))
 
 
-def _auto_lambda0(z_inf: float, penalty: Penalty) -> float:
-    # Largest level at which thresholding Psi^t y yields exactly 0, so the
-    # zero start is the true minimizer there.
-    if penalty is Penalty.L1:
-        return z_inf
-    return z_inf ** 2 / 2.0
-
-
-def _levels_above(lam0: float, lam_stop: float, gamma: float, cap: int) -> int:
-    """Levels ``gamma**k * lam0`` still at or above ``lam_stop``, computed with
-    the solve loop's own arithmetic; counting stops past ``cap``."""
-    levels, lam = 0, gamma * lam0
-    while lam >= lam_stop and levels <= cap:
-        levels += 1
-        lam = gamma * lam
-    return levels
+def _plan(lam0: float, config: SolverConfig) -> List[float]:
+    """Levels ``lam0, gamma*lam0, ...`` of one solve: ``path_len_N`` below ``lam0``
+    in path mode, else every one still at or above the stop. A plan of more
+    than :data:`MAX_INNER_STEPS` inner steps is refused with a ValueError."""
+    cap = MAX_INNER_STEPS // config.kmax
+    lambdas = [lam0]
+    if config.lambda_star == "path":
+        # Auto rule on all-zero data gives level 0; nothing to shrink toward.
+        n_levels = config.path_len_N if lam0 > 0.0 else 0
+        if n_levels <= cap:  # a longer path is refused before it is built
+            for _ in range(n_levels):
+                lambdas.append(config.gamma * lambdas[-1])
+    else:
+        # Every level at or above the stop, but at most one past the cap.
+        lam_stop = float(config.lambda_star)
+        while len(lambdas) <= cap + 1 and config.gamma * lambdas[-1] >= lam_stop:
+            lambdas.append(config.gamma * lambdas[-1])
+        n_levels = len(lambdas) - 1
+    if n_levels > cap:
+        raise ValueError(
+            f"the solve would run more than {cap} levels of {config.kmax} inner steps, "
+            f"over MAX_INNER_STEPS = {MAX_INNER_STEPS}"
+        )
+    return lambdas
 
 
 def continuation_solve(
@@ -312,55 +320,40 @@ def continuation_solve(
     if not np.all(np.isfinite(y)):
         raise ValueError("data contains NaN or infinite entries")
 
-    counter = MatvecCounter()
-    if config.lambda0 == "auto":
-        lam0 = _auto_lambda0(float(np.max(np.abs(op.apply_adjoint(y, counter)))), config.penalty)
+    auto = config.lambda0 == "auto"
+    if auto:
+        # Largest level at which thresholding Psi^t y yields exactly 0, so the
+        # zero start is the true minimizer there.
+        z_inf = float(np.max(np.abs(op.apply_adjoint(y))))
+        lam0 = z_inf if config.penalty is Penalty.L1 else z_inf ** 2 / 2.0
     else:
         lam0 = float(config.lambda0)
-
-    cap = MAX_INNER_STEPS // config.kmax
-    if config.lambda_star == "path":
-        # Auto rule on all-zero data gives level 0; nothing to shrink toward.
-        n_levels = config.path_len_N if lam0 > 0.0 else 0
-    else:
-        n_levels = _levels_above(lam0, float(config.lambda_star), config.gamma, cap)
-    if n_levels > cap:
-        raise ValueError(
-            f"the solve would run more than {cap} levels of {config.kmax} inner steps, "
-            f"over MAX_INNER_STEPS = {MAX_INNER_STEPS}"
-        )
+    lambdas = _plan(lam0, config)
 
     x, r = np.zeros(op.p), y
-    lambdas = [lam0]
     solutions = [x]
     residual_norms = [float(np.linalg.norm(y))]
     objective_values = [0.5 * residual_norms[0] ** 2]
-    matvec_cum = [counter.count]
-
-    lam = lam0
-    for level in range(1, n_levels + 1):
-        lam = config.gamma * lam
+    for level, lam in enumerate(lambdas[1:], 1):
         # Overflow surfaces as the explicit divergence error below, so
         # numpy's own warnings are suppressed.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, config.kmax + 1):
-                x, r = inner_iterate(op, y, x, r, lam, config.penalty, counter)
+                x, r = inner_iterate(op, y, x, r, lam, config.penalty)
                 if not np.all(np.isfinite(x)):
                     raise DivergenceError(lam, level, k)
             rnorm = float(np.linalg.norm(r))
             objective = 0.5 * rnorm ** 2 + lam * _penalty_term(x, config.penalty)
-        lambdas.append(lam)
         solutions.append(x)
         residual_norms.append(rnorm)
         objective_values.append(objective)
-        matvec_cum.append(counter.count)
 
     path = PathResult(
         lambdas=np.array(lambdas),
         solutions=solutions,
         residual_norms=np.array(residual_norms),
         objective_values=np.array(objective_values),
-        matvec_cumulative=np.array(matvec_cum, dtype=np.int64),
+        matvec_cumulative=int(auto) + 2 * config.kmax * np.arange(len(lambdas), dtype=np.int64),
     )
     return path.x_star.copy(), path
 

@@ -1,12 +1,13 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ishtc import solver
-from ishtc.cli import EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
+from ishtc.cli import COMMANDS, EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
 from ishtc.solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, TheoryParams, lambda_star
 from ishtc.storage import read_array, write_array
 from ishtc.thresholding import Penalty
@@ -397,6 +398,145 @@ def test_path_rejects_nan_data(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.strip())["type"] == "ValueError"
+
+
+def _gen_fft_haar_small(out_dir):
+    assert main(["gen", "--kind", "fft-haar", "--n", "8", "--p", "16", "--s", "2",
+                 "--levels", "2", "--seed", "3", "--out", str(out_dir)]) == EXIT_OK
+
+
+def _set_op(prob_dir, op):
+    manifest = json.loads((prob_dir / "manifest.json").read_text())
+    manifest["op"] = op
+    (prob_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _path_exit(prob_dir, out, capsys):
+    """Exit code of ``path`` on ``prob_dir`` and the error record it printed, if any."""
+    capsys.readouterr()
+    rc = main(["path", "--problem", str(prob_dir), "--penalty", "l1", "--path-len", "5",
+               "--out", str(out)])
+    err = capsys.readouterr().err.strip()
+    return rc, json.loads(err) if err else None
+
+
+@pytest.mark.parametrize("op", [["dense"], "dense", None, 5])
+def test_path_on_op_entry_that_is_not_an_object_exit_2(op, tmp_path, capsys):
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    _set_op(prob_dir, op)
+    rc, record = _path_exit(prob_dir, tmp_path / "run", capsys)
+    assert rc == EXIT_SCHEMA
+    assert "JSON object" in record["error"]
+
+
+@pytest.mark.parametrize("change", [
+    {"p": 2 ** 40},  # refused before an 8 TiB operator is built
+    {"p": 32},
+    {"levels": 2 ** 62},  # refused before 2**levels is built
+], ids=["p-2^40", "p-32", "levels-2^62"])
+def test_path_on_fft_haar_op_entry_that_disagrees_with_the_arrays_exit_2(change, tmp_path,
+                                                                          capsys):
+    prob_dir = tmp_path / "prob"
+    _gen_fft_haar_small(prob_dir)
+    op = json.loads((prob_dir / "manifest.json").read_text())["op"]
+    _set_op(prob_dir, {**op, **change})
+    rc, record = _path_exit(prob_dir, tmp_path / "run", capsys)
+    assert rc == EXIT_SCHEMA
+    assert record["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("change", [{"p": 41}, {"n": 21}, "x_true.bin", "matrix.bin"],
+                         ids=["p-41", "n-21", "x_true.bin", "matrix.bin"])
+def test_path_on_dense_sizes_that_disagree_exit_2(change, tmp_path, capsys):
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)  # n=20, p=40
+    if isinstance(change, dict):
+        op = json.loads((prob_dir / "manifest.json").read_text())["op"]
+        _set_op(prob_dir, {**op, **change})
+    else:  # drop the last entry or column
+        array = read_array(prob_dir / change)
+        write_array(prob_dir / change, array[..., :-1])
+    rc, record = _path_exit(prob_dir, tmp_path / "run", capsys)
+    assert rc == EXIT_SCHEMA
+    assert record["type"] == "ValueError"
+
+
+#: Any JSON value, huge integers and non-finite floats included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([2 ** 40, 2 ** 64, -(2 ** 63), 10 ** 30]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+_HEADER_FIELDS = {
+    "magic": st.binary(min_size=4, max_size=4),
+    "rows": st.integers(0, 40) | st.integers(0, 2 ** 32 - 1),
+    "cols": st.integers(0, 40) | st.integers(0, 2 ** 32 - 1),
+    "reserved": st.integers(0, 2 ** 32 - 1),
+}
+_OP_KEYS = ("kind", "n", "p", "levels", "seed")
+_OP_VALUES = st.sampled_from(["dense", "partial-fft-haar"]) | st.integers(-2, 40) | JSON_VALUES
+#: What one draw may replace: the whole op entry, one of its keys, one header
+#: field of an array file, or an array file's length.
+_FUZZ_TARGETS = ("op", *_OP_KEYS, *(
+    f"{name} {field}" for name in ("x_true.bin", "y.bin", "matrix.bin")
+    for field in (*_HEADER_FIELDS, "cut")))
+
+
+def _fuzzed_file(data, name, raw, targets):
+    header = dict(zip(_HEADER_FIELDS, struct.unpack("<4sIII", raw[:16])))
+    for field, values in _HEADER_FIELDS.items():
+        if f"{name} {field}" in targets:
+            header[field] = data.draw(values, label=f"{name} {field}")
+    raw = struct.pack("<4sIII", *header.values()) + raw[16:]
+    if f"{name} cut" in targets:
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label=f"{name} cut")]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def problem_files(tmp_path_factory):
+    """File name -> bytes of a tiny dense and a tiny fft-haar problem directory."""
+    dense, fft = tmp_path_factory.mktemp("dense"), tmp_path_factory.mktemp("fft")
+    _gen_small(dense, n="4", p="8", s="2")
+    _gen_fft_haar_small(fft)
+    return {kind: {f.name: f.read_bytes() for f in root.iterdir()}
+            for kind, root in (("dense", dense), ("fft-haar", fft))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_path_on_fuzzed_problem_directory_exits_with_a_code(data, problem_files,
+                                                            tmp_path_factory):
+    """A problem directory with any ``op`` entry and any array-file headers
+    ends in exit 0, 2, 3 or 4, never an uncaught exception."""
+    files = dict(problem_files[data.draw(st.sampled_from(["dense", "fft-haar"]), label="base")])
+    targets = data.draw(st.lists(st.sampled_from(_FUZZ_TARGETS), max_size=3), label="targets")
+    manifest = json.loads(files.pop("manifest.json"))
+    if "op" in targets:
+        manifest["op"] = data.draw(JSON_VALUES, label="op")
+    for key in _OP_KEYS:
+        if key in targets and isinstance(manifest["op"], dict):
+            manifest["op"][key] = data.draw(_OP_VALUES, label=key)
+    root = tmp_path_factory.mktemp("fuzz")
+    prob_dir = root / "prob"
+    prob_dir.mkdir()
+    (prob_dir / "manifest.json").write_text(json.dumps(manifest))
+    for name, raw in files.items():
+        (prob_dir / name).write_bytes(_fuzzed_file(data, name, raw, targets))
+    rc = main(["path", "--problem", str(prob_dir), "--penalty", "l1", "--path-len", "5",
+               "--out", str(root / "run")])
+    assert rc in (EXIT_OK, EXIT_SCHEMA, EXIT_MISSING, EXIT_DIVERGED)
+
+
+@pytest.mark.parametrize("argv", [[], *([name] for name in COMMANDS)])
+def test_help_exits_0_with_a_usage_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ishtc {' '.join(argv)}".rstrip())
 
 
 #: Per subcommand: flags for a small run (given the problem directory), one

@@ -3,7 +3,6 @@ import pytest
 
 from ishtc.linop import (
     COHERENCE_BUDGET_P,
-    MatvecCounter,
     SensingOperator,
     dense_operator,
     haar_forward,
@@ -53,16 +52,6 @@ def test_dimension_mismatch_errors():
         op.apply(np.zeros(5))
     with pytest.raises(ValueError):
         op.apply_adjoint(np.zeros(9))
-
-
-def test_counter_ticks():
-    op = _random_unit_columns(6, 10, seed=3)
-    counter = MatvecCounter()
-    op.apply(np.zeros(10), counter)
-    op.apply_adjoint(np.zeros(6), counter)
-    assert counter.count == 2
-    op.apply(np.zeros(10))
-    assert counter.count == 2
 
 
 @pytest.mark.parametrize(
