@@ -212,7 +212,10 @@ def mutual_coherence(op: SensingOperator) -> CoherenceReport:
 
     Implicit operators are densified column-by-column first, which costs p
     operator applications; refuse when ``p`` exceeds :data:`COHERENCE_BUDGET_P`.
+    A single column has no pair, so ``p < 2`` is a ValueError.
     """
+    if op.p < 2:
+        raise ValueError(f"coherence needs at least 2 columns, got p={op.p}")
     if op.kind != "dense" and op.p > COHERENCE_BUDGET_P:
         raise ValueError(
             f"coherence computation over budget: p={op.p} exceeds {COHERENCE_BUDGET_P} "

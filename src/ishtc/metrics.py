@@ -23,8 +23,6 @@ class Metrics:
     abs_linf: float
     psnr_db: float
     exact_support: bool
-    support_precision: float
-    support_recall: float
 
 
 def _check_pair(x_hat: np.ndarray, x_true: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,24 +46,12 @@ def psnr(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 
 
 def reconstruction_metrics(x_hat: np.ndarray, x_true: np.ndarray) -> Metrics:
-    """Error and support-accuracy fields.
-
-    Precision is 1.0 for an empty predicted support (no false positives).
-    """
+    """Error fields, and whether the estimate's support equals the truth's."""
     x_hat, x_true = _check_pair(x_hat, x_true)
     diff = x_hat - x_true
-    rel_l2 = float(np.linalg.norm(diff) / np.linalg.norm(x_true))
-    abs_linf = float(np.max(np.abs(diff)))
-    pred = np.flatnonzero(x_hat)
-    true = np.flatnonzero(x_true)
-    hits = np.intersect1d(pred, true, assume_unique=True).size
-    precision = hits / pred.size if pred.size else 1.0
-    recall = hits / true.size
     return Metrics(
-        rel_l2=rel_l2,
-        abs_linf=abs_linf,
+        rel_l2=float(np.linalg.norm(diff) / np.linalg.norm(x_true)),
+        abs_linf=float(np.max(np.abs(diff))),
         psnr_db=psnr(x_hat, x_true),
-        exact_support=bool(precision == 1.0 and recall == 1.0),
-        support_precision=float(precision),
-        support_recall=float(recall),
+        exact_support=np.array_equal(np.flatnonzero(x_hat), np.flatnonzero(x_true)),
     )

@@ -29,14 +29,8 @@ _NOISE_STREAM = 2
 MATRIX_KINDS = ("gaussian", "bernoulli", "correlated", "fft-haar")
 
 
-def _substream(seed: SeedLike, tag: int) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        entropy = seed.entropy
-        key = tuple(seed.spawn_key) + (tag,)
-    else:
-        entropy = seed
-        key = (tag,)
-    return np.random.SeedSequence(entropy=entropy, spawn_key=key)
+def _substream(seed: int, tag: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=seed, spawn_key=(tag,))
 
 
 @dataclass
@@ -82,8 +76,8 @@ def gen_correlated_gaussian(n: int, p: int, nu: float, seed: SeedLike) -> Sensin
     at ``2*nu/(1+nu^2)``; larger ``nu`` gives larger coherence. ``nu=0``
     reproduces :func:`gen_gaussian_matrix` bit for bit.
     """
-    if nu < 0:
-        raise ValueError(f"mixing weight must be >= 0, got {nu}")
+    if not 0 <= nu < math.inf:  # also rejects NaN
+        raise ValueError(f"mixing weight must be finite and >= 0, got {nu}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, p))
     if nu == 0:
@@ -109,8 +103,8 @@ def gen_sparse_signal(p: int, s: int, dr: float, seed: SeedLike) -> np.ndarray:
     """
     if not 1 <= s <= p:
         raise ValueError(f"sparsity must satisfy 1 <= s <= {p}, got {s}")
-    if dr < 1:
-        raise ValueError(f"dynamic range must be >= 1, got {dr}")
+    if not 1 <= dr < math.inf:  # also rejects NaN
+        raise ValueError(f"dynamic range must be finite and >= 1, got {dr}")
     rng = np.random.default_rng(seed)
     support = rng.choice(p, size=s, replace=False)
     if s == 1:
@@ -147,8 +141,8 @@ def gen_problem(
     ``levels`` only by ``fft-haar``, whose signal is sparse in the
     coefficient domain the operator expects.
     """
-    if sigma < 0:
-        raise ValueError(f"noise level must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:  # also rejects NaN
+        raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
     mat_ss = _substream(seed, _MATRIX_STREAM)
     if matrix_kind == "gaussian":
         op = gen_gaussian_matrix(n, p, mat_ss)
@@ -245,6 +239,8 @@ def load_problem(in_dir: Union[str, Path]) -> Problem:
                          f"{y.shape} and x_true.bin {x_true.shape}")
     if kind == "dense":
         matrix = read_array(src / "matrix.bin")
+        if p == 1 and matrix.ndim == 1:  # read_array gives a one-column file as a vector
+            matrix = matrix[:, np.newaxis]
         if matrix.shape != (n, p):
             raise ValueError(f"matrix.bin has shape {matrix.shape}, expected {(n, p)}")
         op = dense_operator(matrix)

@@ -7,9 +7,6 @@ warm-started from the previous level's solution, and records every per-level
 estimate. Stopping is either at an explicit target level (such as the
 noise-calibrated :func:`lambda_star` of :class:`TheoryParams`), or after a
 fixed number of levels ("path" mode, for model selection afterwards).
-
-:func:`baseline_solve` is the plain single-level iteration with a
-configurable stepsize, kept as a reference point; it has no continuation.
 """
 
 from __future__ import annotations
@@ -357,56 +354,3 @@ def continuation_solve(
     )
     return path.x_star.copy(), path
 
-
-def operator_norm_sq(op: SensingOperator) -> float:
-    """Squared spectral norm, estimated from below by 100 power iterations."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(op.p)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(100):
-        w = op.apply_adjoint(op.apply(v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        est = nw  # ||Psi^t Psi v|| -> largest eigenvalue of Psi^t Psi
-        v = w / nw
-    return est
-
-
-def baseline_solve(
-    op: SensingOperator,
-    y: np.ndarray,
-    lam: float,
-    tau: float,
-    penalty: Penalty,
-    max_iter: int = 1000,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Single-level thresholded gradient iteration with stepsize ``tau``.
-
-    Iterates ``x <- T_{tau*lam}(x + tau * Psi^t (y - Psi x))`` from 0 until
-    the sup-norm step falls below ``tol`` or ``max_iter`` is hit. ``tau``
-    must lie in ``(0, 2/||Psi||^2)`` (spectral norm estimated by power
-    iteration), the classical convergence range.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if lam < 0:
-        raise ValueError(f"penalty level must be >= 0, got {lam}")
-    norm_sq = operator_norm_sq(op)
-    if not 0.0 < tau < 2.0 / norm_sq:
-        raise ValueError(
-            f"stepsize {tau} outside (0, {2.0 / norm_sq:.6g}) = (0, 2/||Psi||^2)"
-        )
-    x = np.zeros(op.p)
-    for k in range(1, max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = y - op.apply(x)
-            x_next = threshold_vector(x + tau * op.apply_adjoint(r), tau * lam, penalty)
-        if not np.all(np.isfinite(x_next)):
-            raise DivergenceError(lam, 0, k)
-        step = float(np.max(np.abs(x_next - x))) if x_next.size else 0.0
-        x = x_next
-        if step <= tol:
-            break
-    return x

@@ -23,31 +23,8 @@ class Penalty(str, enum.Enum):
     L0 = "l0"
 
 
-def _check_lambda(lam: float) -> None:
-    if not lam >= 0:  # also rejects NaN
-        raise ValueError(f"threshold level must be nonnegative, got {lam}")
-
-
-def soft_threshold(t: float, lam: float) -> float:
-    """Return ``max(|t| - lam, 0) * sgn(t)`` with ``sgn(0) = 0``."""
-    _check_lambda(lam)
-    mag = abs(t) - lam
-    if mag <= 0.0:
-        return 0.0
-    return mag if t > 0 else -mag
-
-
-def hard_threshold(t: float, lam: float) -> float:
-    """Return ``t`` if ``|t| > sqrt(2*lam)``, else 0.
-
-    The boundary ``|t| = sqrt(2*lam)`` maps to 0 (strict inequality).
-    """
-    _check_lambda(lam)
-    return t if abs(t) > math.sqrt(2.0 * lam) else 0.0
-
-
 def threshold_vector(v: np.ndarray, lam: float, penalty: Penalty) -> np.ndarray:
-    """Apply the scalar threshold componentwise.
+    """Apply the soft or hard threshold componentwise.
 
     Parameters
     ----------
@@ -63,7 +40,8 @@ def threshold_vector(v: np.ndarray, lam: float, penalty: Penalty) -> np.ndarray:
     ndarray
         Thresholded copy of ``v``; its nonzero set is the output support.
     """
-    _check_lambda(lam)
+    if not lam >= 0:  # also rejects NaN
+        raise ValueError(f"threshold level must be nonnegative, got {lam}")
     v = np.asarray(v, dtype=np.float64)
     if penalty is Penalty.L1:
         return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)

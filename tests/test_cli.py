@@ -319,6 +319,39 @@ def test_gen_coherence_flag(tmp_path):
     assert 0.0 <= manifest["meta"]["mu"] <= 1.0
 
 
+def test_gen_coherence_flag_on_one_column_exit_2(tmp_path, capsys):
+    # One column has no pair, so there is no coherence to record.
+    rc = main(["gen", "--kind", "gaussian", "--n", "5", "--p", "1", "--s", "1",
+               "--coherence", "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err.strip())["exit_code"] == EXIT_SCHEMA
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--sigma", "--nu", "--dr"])
+def test_gen_refuses_non_finite_parameters_exit_2(flag, value, tmp_path, capsys):
+    """A NaN or infinite noise level, mixing weight or dynamic range is refused
+    before any file is written."""
+    kind = "correlated" if flag == "--nu" else "gaussian"
+    rc = main(["gen", "--kind", kind, "--n", "20", "--p", "40", "--s", "3", "--seed", "1",
+               flag, value, "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err.strip())["exit_code"] == EXIT_SCHEMA
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, output", [("path", "x_best.bin"), ("solve", "x_star.bin")])
+def test_one_column_dense_problem_loads(command, output, tmp_path):
+    """gen writes a one-column matrix.bin; solve and path read it back as n x 1."""
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir, n="5", p="1", s="1")
+    out = tmp_path / "run"
+    assert main([command, "--problem", str(prob_dir), "--penalty", "l1",
+                 "--out", str(out)]) == EXIT_OK
+    assert read_array(out / output).shape == (1,)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -105,6 +105,12 @@ def test_coherence_budget_error():
         mutual_coherence(op)
 
 
+def test_coherence_single_column_error():
+    # One column has no pair; fill_diagonal(-1) would otherwise report mu = -1.
+    with pytest.raises(ValueError, match="at least 2 columns"):
+        mutual_coherence(_random_unit_columns(5, 1, seed=0))
+
+
 def test_normalize_columns_example():
     op, scales = normalize_columns(np.array([[3.0], [4.0]]))
     np.testing.assert_allclose(op.matrix[:, 0], [0.6, 0.8], atol=1e-15)

@@ -17,8 +17,6 @@ def test_hand_example():
     m = reconstruction_metrics(np.array([1.0, 0.5]), np.array([1.0, 0.0]))
     assert m.rel_l2 == pytest.approx(0.5)
     assert m.abs_linf == pytest.approx(0.5)
-    assert m.support_precision == pytest.approx(0.5)
-    assert m.support_recall == pytest.approx(1.0)
     assert not m.exact_support
 
 
@@ -49,16 +47,9 @@ def test_rel_l2_invariant_linf_linear():
     assert m2.abs_linf == pytest.approx(3.0 * m1.abs_linf, rel=1e-12)
 
 
-def test_precision_recall_swap():
-    a = np.array([1.0, 1.0, 0.0, 0.0])
-    b = np.array([1.0, 0.0, 1.0, 1.0])
-    m_ab = reconstruction_metrics(a, b)
-    m_ba = reconstruction_metrics(b, a)
-    assert m_ab.support_precision == pytest.approx(m_ba.support_recall)
-    assert m_ab.support_recall == pytest.approx(m_ba.support_precision)
-
-
 def test_exact_support_iff_perfect_precision_recall():
+    """Perfect precision and recall means the two supports are the same set,
+    which an empty estimate never matches."""
     rng = np.random.default_rng(2)
     for _ in range(200):
         x_true = np.where(rng.random(8) < 0.4, rng.standard_normal(8), 0.0)
@@ -66,9 +57,9 @@ def test_exact_support_iff_perfect_precision_recall():
             continue
         x_hat = np.where(rng.random(8) < 0.4, rng.standard_normal(8), 0.0)
         m = reconstruction_metrics(x_hat, x_true)
-        assert m.exact_support == (
-            m.support_precision == 1.0 and m.support_recall == 1.0
-        )
+        pred = {i for i, v in enumerate(x_hat) if v != 0}
+        true = {i for i, v in enumerate(x_true) if v != 0}
+        assert m.exact_support == (pred == true)
 
 
 def test_matches_loop_oracle():
@@ -84,9 +75,7 @@ def test_matches_loop_oracle():
     assert m.abs_linf == pytest.approx(max(abs(a - b) for a, b in zip(x_hat, x_true)))
     pred = {i for i, v in enumerate(x_hat) if v != 0}
     true = {i for i, v in enumerate(x_true) if v != 0}
-    expect_prec = len(pred & true) / len(pred) if pred else 1.0
-    assert m.support_precision == pytest.approx(expect_prec)
-    assert m.support_recall == pytest.approx(len(pred & true) / len(true))
+    assert m.exact_support == (pred == true)
 
 
 def test_zero_truth_rejected():

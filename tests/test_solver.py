@@ -13,7 +13,6 @@ from ishtc.solver import (
     PathResult,
     SolverConfig,
     TheoryParams,
-    baseline_solve,
     continuation_solve,
     gamma_lower_bound,
     inner_iterate,
@@ -307,40 +306,30 @@ def test_inner_iterate_matches_naive_step():
 
 
 # ---------------------------------------------------------------------------
-# Baseline fixed-lambda solver
+# Plain fixed-lambda ISTA as a reference
 # ---------------------------------------------------------------------------
 
 
-def test_baseline_orthonormal_one_step():
-    op = _orthonormal_op(16, 16, seed=30)
-    y = np.random.default_rng(31).standard_normal(16)
-    out = baseline_solve(op, y, 0.3, 1.0, Penalty.L1, max_iter=1)
-    ref = threshold_vector(op.apply_adjoint(y), 0.3, Penalty.L1)
-    np.testing.assert_allclose(out, ref, atol=1e-14)
-
-
-def test_baseline_null_solution_above_lambda_max():
-    op, y = _small_instance()
-    lam = float(np.max(np.abs(op.apply_adjoint(y)))) + 0.1
-    out = baseline_solve(op, y, lam, 0.4, Penalty.L1)
-    np.testing.assert_array_equal(out, np.zeros(op.p))
-
-
-def test_baseline_tau_range_enforced():
-    op, y = _small_instance()
-    with pytest.raises(ValueError):
-        baseline_solve(op, y, 0.1, 0.0, Penalty.L1)
-    with pytest.raises(ValueError):
-        baseline_solve(op, y, 0.1, 10.0, Penalty.L1)
-
-
 def test_baseline_agrees_with_continuation_objective():
-    """Both solvers reach the same objective at a matched lambda."""
+    """Continuation and plain single-level ISTA reach the same objective at a
+    matched lambda."""
     op, y = _small_instance()
     cfg = SolverConfig(penalty=Penalty.L1, gamma=0.8, lambda_star=0.05 * 0.999)
     x_cont, path = continuation_solve(op, y, cfg)
     lam = float(path.lambdas[-1])
-    x_base = baseline_solve(op, y, lam, 0.3, Penalty.L1, max_iter=200_000, tol=1e-14)
+
+    # x <- T_{tau*lam}(x + tau * A'(y - A x)) from 0, inside the classical
+    # convergence range tau < 2/||A||_2^2, until the step is below 1e-14.
+    mat = np.asarray(op.matrix)
+    tau = 0.3
+    assert tau < 2.0 / np.linalg.norm(mat, 2) ** 2
+    x_base = np.zeros(op.p)
+    for _ in range(200_000):
+        x_next = threshold_vector(x_base + tau * mat.T @ (y - mat @ x_base), tau * lam, Penalty.L1)
+        step = float(np.max(np.abs(x_next - x_base)))
+        x_base = x_next
+        if step <= 1e-14:
+            break
 
     def objective(x):
         r = y - op.apply(x)
