@@ -137,12 +137,15 @@ def gen_problem(
 ) -> Problem:
     """Compose matrix, signal, and noise into one instance.
 
-    ``nu`` is required for (and only used by) the ``correlated`` kind;
+    ``nu`` is required for (and only used by) the ``correlated`` kind, but
+    every kind echoes it into ``meta``, so it must be finite for every kind;
     ``levels`` only by ``fft-haar``, whose signal is sparse in the
     coefficient domain the operator expects.
     """
     if not 0 <= sigma < math.inf:  # also rejects NaN
         raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
+    if nu is not None and not math.isfinite(nu):
+        raise ValueError(f"mixing weight must be finite, got {nu}")
     mat_ss = _substream(seed, _MATRIX_STREAM)
     if matrix_kind == "gaussian":
         op = gen_gaussian_matrix(n, p, mat_ss)

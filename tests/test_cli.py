@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ishtc import solver
 from ishtc.cli import COMMANDS, EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
+from ishtc.probgen import gen_problem, load_problem
 from ishtc.solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, TheoryParams, lambda_star
 from ishtc.storage import read_array, write_array
 from ishtc.thresholding import Penalty
@@ -329,11 +331,15 @@ def test_gen_coherence_flag_on_one_column_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("flag", ["--sigma", "--nu", "--dr"])
-def test_gen_refuses_non_finite_parameters_exit_2(flag, value, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag, kind",
+    [("--sigma", "gaussian"), ("--nu", "correlated"), ("--nu", "gaussian"), ("--dr", "gaussian")],
+    ids=["--sigma", "--nu", "--nu-on-gaussian", "--dr"],
+)
+def test_gen_refuses_non_finite_parameters_exit_2(flag, kind, value, tmp_path, capsys):
     """A NaN or infinite noise level, mixing weight or dynamic range is refused
-    before any file is written."""
-    kind = "correlated" if flag == "--nu" else "gaussian"
+    before any file is written; a mixing weight also for the kinds that only
+    echo it into the manifest."""
     rc = main(["gen", "--kind", kind, "--n", "20", "--p", "40", "--s", "3", "--seed", "1",
                flag, value, "--out", str(tmp_path)])
     assert rc == EXIT_SCHEMA
@@ -368,6 +374,43 @@ def test_fft_haar_problem_through_cli(tmp_path):
     assert main(["solve", "--problem", str(prob_dir), "--penalty", "l0",
                  "--out", str(out)]) == EXIT_OK
     assert read_array(out / "x_star.bin").shape == (64,)
+
+
+def _tree_bytes(root):
+    """Every file under ``root`` by relative path; manifests without wall time."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            manifest.pop("wall_time_s", None)
+            files[str(path.relative_to(root))] = manifest
+        elif path.is_file():
+            files[str(path.relative_to(root))] = path.read_bytes()
+    return files
+
+
+def test_fft_haar_gen_and_path_rerun_byte_identical(tmp_path):
+    """gen --kind fft-haar and path are reproducible byte for byte, and the
+    operator load_problem rebuilds carries the generated col_scale bits."""
+    prob_dir = tmp_path / "run" / "prob"
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(tmp_path / "run", ignore_errors=True)
+        assert main(["gen", "--kind", "fft-haar", "--n", "600", "--p", "1024", "--s", "40",
+                     "--levels", "3", "--dr", "100", "--sigma", "1e-4", "--seed", "11",
+                     "--out", str(prob_dir)]) == EXIT_OK
+        for sel in ("sel1", "sel2"):
+            assert main(["path", "--problem", str(prob_dir), "--penalty", "l0",
+                         "--out", str(tmp_path / "run" / sel)]) == EXIT_OK
+        runs.append(_tree_bytes(tmp_path / "run"))
+    assert len(runs[0]) == 3 + 2 * 4  # x_true, y, manifest; x_best, path, scores, manifest
+    assert runs[0] == runs[1]
+    for name in ("x_best.bin", "path.csv", "scores.csv", "manifest.json"):
+        assert runs[0][f"sel1/{name}"] == runs[0][f"sel2/{name}"]
+    built = gen_problem("fft-haar", n=600, p=1024, s=40, dr=100.0, sigma=1e-4, seed=11, levels=3)
+    loaded = load_problem(prob_dir)
+    assert loaded.op.col_scale.tobytes() == built.op.col_scale.tobytes()
+    np.testing.assert_array_equal(loaded.op.rows, built.op.rows)
 
 
 def test_solve_rejects_infinite_lambda0(tmp_path, capsys):

@@ -1,9 +1,13 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from ishtc.linop import (
     COHERENCE_BUDGET_P,
     SensingOperator,
+    _column_energy,
     dense_operator,
     haar_forward,
     haar_inverse,
@@ -185,6 +189,79 @@ def test_partial_fft_haar_densify_oracle():
     r = rng.standard_normal(40)
     np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
     np.testing.assert_allclose(op.apply_adjoint(r), dense.T @ r, atol=1e-12)
+
+
+def _loop_column_energy(p, rows, levels):
+    """Oracle: squared column norms summed over one adjoint row at a time,
+    O(n p log p)."""
+    sq = np.zeros(p)
+    unit = np.zeros(p)
+    for k in rows:
+        unit[k] = 1.0
+        sq += haar_forward(real_dft_adjoint(unit), levels) ** 2
+        unit[k] = 0.0
+    return sq
+
+
+def _drawn_rows(p, n, seed):
+    """The rows make_partial_fft_haar selects for this seed."""
+    return np.sort(np.random.default_rng(seed).choice(p, size=n, replace=False))
+
+
+@pytest.mark.parametrize(
+    "p, levels",
+    [(p, lev) for p in (8, 64, 256, 1024, 4096) for lev in range(1, 5) if p % (1 << lev) == 0],
+)
+def test_column_energy_matches_row_loop(p, levels):
+    """The closed form agrees with the row loop to 1e-13 of the largest column
+    energy and has the same exactly-zero columns; the build raises exactly when
+    there is one. (Per column, low-energy columns at n=1 lose digits to
+    cancellation, so the gate is on the largest energy.)"""
+    for n in sorted({1, 2, 3, p // 8, p // 3, p // 2, p - 1, p}):
+        seed = 7 * p + n
+        rows = _drawn_rows(p, n, seed)
+        expected = _loop_column_energy(p, rows, levels)
+        sq = _column_energy(p, rows, levels)
+        assert np.max(np.abs(sq - expected)) <= 1e-13 * np.max(expected), n
+        np.testing.assert_array_equal(sq == 0.0, expected == 0.0, err_msg=f"n={n}")
+        zero = np.flatnonzero(expected == 0.0)
+        if zero.size:
+            with pytest.raises(ValueError, match=f"column {zero[0]} is the zero vector"):
+                make_partial_fft_haar(p, n, levels, seed=seed)
+        else:
+            op = make_partial_fft_haar(p, n, levels, seed=seed)
+            np.testing.assert_array_equal(op.rows, rows)
+            np.testing.assert_array_equal(op.col_scale, np.sqrt(sq))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("p", [8, 64])
+@pytest.mark.parametrize("ends", [(0,), (1,), (0, 1)], ids=["dc", "nyquist", "dc+nyquist"])
+def test_dc_and_nyquist_selections(ends, p, levels):
+    """Detail atoms have zero mean and the alternating Nyquist row cancels on
+    every atom coarser than the finest detail, so these selections leave a zero
+    column, except {DC, Nyquist} at depth 1, which covers every atom."""
+    selected = [e * p // 2 for e in ends]
+    seed = next(s for s in itertools.count() if _drawn_rows(p, len(ends), s).tolist() == selected)
+    if ends == (0, 1) and levels == 1:
+        op = make_partial_fft_haar(p, len(ends), levels, seed=seed)
+        assert np.max(np.abs(np.linalg.norm(op.densify(), axis=0) - 1.0)) <= 1e-12
+    else:
+        with pytest.raises(ValueError, match="zero vector after row selection"):
+            make_partial_fft_haar(p, len(ends), levels, seed=seed)
+
+
+def test_partial_fft_haar_builds_at_p_2_16():
+    """The closed form builds p = 2**16 well inside 2 s (the row loop took
+    about 100 s); probed columns have unit norm."""
+    start = time.perf_counter()
+    op = make_partial_fft_haar(2**16, 2**15, levels=3, seed=0)
+    assert time.perf_counter() - start <= 2.0
+    e = np.zeros(op.p)
+    for j in np.random.default_rng(0).choice(op.p, size=64, replace=False):
+        e[j] = 1.0
+        assert abs(np.linalg.norm(op.apply(e)) - 1.0) <= 1e-12
+        e[j] = 0.0
 
 
 def test_partial_fft_haar_validation():
