@@ -4,9 +4,9 @@ and the experiment drivers, with JSON config files and run manifests.
 Each subcommand's flags and config-file keys come from one parameter table
 in :data:`COMMANDS`. Config resolution is flags > config file > defaults,
 and every resolved value is echoed into the run manifest so the manifest
-alone reproduces the run. Exit codes: 0 success, 2 invalid config/schema,
-3 missing input files, 4 solver divergence. Errors print one JSON record
-to stderr.
+alone reproduces the run. Exit codes: 0 success, 2 invalid config/schema
+or a size too large to allocate, 3 missing input files, 4 solver
+divergence. Errors print one JSON record to stderr.
 """
 
 from __future__ import annotations
@@ -165,12 +165,9 @@ def cmd_solve(params: dict, args: argparse.Namespace) -> int:
     if level == "auto":
         # mu_s is the coherence-sparsity product; every bound depends on mu
         # and s only through it, so it is stored as (mu=mu_s, s=1).
-        c_key = "c1" if params["penalty"] == "l1" else "c0"
-        if params["mu_s"] is None:
-            raise ValueError("--lambda-star auto needs --mu-s")
-        if params[c_key] is None:
-            raise ValueError(f"--lambda-star auto with penalty {params['penalty']} needs --{c_key}")
-        theory = TheoryParams(mu=params["mu_s"], s=1, c=params[c_key], epsilon=problem.epsilon)
+        if params["mu_s"] is None or params["c"] is None:
+            raise ValueError("--lambda-star auto needs --mu-s and --c")
+        theory = TheoryParams(mu=params["mu_s"], s=1, c=params["c"], epsilon=problem.epsilon)
         level = lambda_star(theory, Penalty(params["penalty"]))
         if not level > 0:
             raise ValueError(
@@ -278,8 +275,7 @@ COMMANDS = {
         Opt("lambda_star", "--lambda-star", _parse_level, "path"),
         PATH_LEN,
         Opt("mu_s", "--mu-s", float, help="coherence-sparsity product for --lambda-star auto"),
-        Opt("c0", "--c0", float, help="hard-penalty stopping constant"),
-        Opt("c1", "--c1", float, help="soft-penalty stopping constant"),
+        Opt("c", "--c", float, help="stopping constant for --lambda-star auto"),
     )),
     "path": (cmd_path, "full path plus information-criterion selection", (
         Opt("problem", "--problem", default=REQUIRED),
@@ -346,7 +342,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         error, code = exc, EXIT_DIVERGED
     except FileNotFoundError as exc:
         error, code = exc, EXIT_MISSING
-    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; a MemoryError is a size that cannot be allocated.
+    except (ValueError, KeyError, TypeError, MemoryError) as exc:
         error, code = exc, EXIT_SCHEMA
     record = {"error": str(error), "type": type(error).__name__, "exit_code": code}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)

@@ -65,7 +65,7 @@ class SweepSpec:
     varied: str
     values: Tuple[float, ...]
     fixed: dict
-    replications: int = 100
+    replications: int
     base_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -324,11 +324,11 @@ def curve90_to_csv(grid: PhaseGrid, path: Union[str, Path]) -> None:
 
 def benchmark_table(
     sizes: Sequence[int],
-    matrix_kind: str = "bernoulli",
-    penalty: Penalty = Penalty.L1,
-    replications: int = 10,
-    dr: float = 100.0,
-    sigma: float = 5e-2,
+    matrix_kind: str,
+    penalty: Penalty,
+    replications: int,
+    dr: float,
+    sigma: float,
     base_seed: int = 0,
     workers: int = 1,
     gamma: float = DEFAULT_GAMMA,
@@ -381,40 +381,35 @@ def bench_to_csv(rows: Sequence[dict], path: Union[str, Path]) -> None:
 def fft_haar_reconstruction(
     n: int = 665,
     p: int = 1024,
-    levels: int = 2,
     s: int = 247,
     dr: float = 100.0,
     sigma: float = 1e-4,
-    penalty: Penalty = Penalty.L0,
     seed: int = 0,
-    gamma: float = DEFAULT_GAMMA,
-    kmax: int = DEFAULT_KMAX,
-    path_len: int = DEFAULT_PATH_LEN,
 ) -> dict:
     """Recover a sparse coefficient vector from partial frequency data.
 
-    Runs the full path with BIC selection and reports PSNR both on the
-    coefficient vector the solver estimates and on the time-domain signal
-    it implies (inverse wavelet of the unnormalized coefficients).
+    On a depth-2 ``fft-haar`` problem, runs the l0 full path at the solver's
+    default knobs with BIC selection and reports PSNR both on the coefficient
+    vector and on the time-domain signal it implies (inverse wavelet of the
+    unnormalized coefficients).
     """
-    problem = gen_problem(
-        "fft-haar", n=n, p=p, s=s, dr=dr, sigma=sigma, seed=seed, levels=levels
-    )
+    problem = gen_problem("fft-haar", n=n, p=p, s=s, dr=dr, sigma=sigma, seed=seed, levels=2)
     t0 = time.perf_counter()
-    lam_best, x_best, path = _bic_solution(problem, penalty, gamma, kmax, path_len)
+    path = run_full_path(problem.op, problem.y, Penalty.L0)
+    lam_best, x_best, _ = select_bic(path, problem.y)
     elapsed = time.perf_counter() - t0
     m = reconstruction_metrics(x_best, problem.x_true)
-    scale = problem.op.col_scale
-    u_hat = haar_inverse(x_best / scale, levels)
-    u_true = haar_inverse(problem.x_true / scale, levels)
+    op = problem.op
+    u_hat = haar_inverse(x_best / op.col_scale, op.levels)
+    u_true = haar_inverse(problem.x_true / op.col_scale, op.levels)
     return {
         "n": n,
         "p": p,
-        "levels": levels,
+        "levels": op.levels,
         "s": s,
         "dr": dr,
         "sigma": sigma,
-        "penalty": penalty.value,
+        "penalty": Penalty.L0.value,
         "seed": seed,
         "psnr_db": m.psnr_db,
         "signal_psnr_db": psnr(u_hat, u_true),

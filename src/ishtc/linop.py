@@ -221,7 +221,7 @@ def mutual_coherence(op: SensingOperator) -> CoherenceReport:
             f"coherence computation over budget: p={op.p} exceeds {COHERENCE_BUDGET_P} "
             "for an implicit operator"
         )
-    mat = op.matrix if op.kind == "dense" else op.densify()
+    mat = op.densify()
     gram = np.abs(mat.T @ mat)
     np.fill_diagonal(gram, -1.0)
     flat = int(np.argmax(gram))

@@ -57,14 +57,7 @@ def run_full_path(
     N: int = DEFAULT_PATH_LEN,
 ) -> PathResult:
     """Run exactly ``N`` levels past the auto starting level (N+1 records)."""
-    config = SolverConfig(
-        penalty=penalty,
-        lambda0="auto",
-        gamma=gamma,
-        kmax=kmax,
-        lambda_star="path",
-        path_len_N=N,
-    )
+    config = SolverConfig(penalty=penalty, gamma=gamma, kmax=kmax, path_len_N=N)
     _, path = continuation_solve(op, y, config)
     return path
 
@@ -96,22 +89,11 @@ def select_bic(path: PathResult, y: np.ndarray) -> Tuple[float, np.ndarray, List
         raise ValueError("empty path")
     n = int(np.asarray(y).shape[0])
     scores: List[BicScore] = []
-    best = -1
-    for i in range(len(path)):
-        residual_sq = float(path.residual_norms[i]) ** 2
-        s = bic_score(path.solutions[i], residual_sq, n)
-        scores.append(
-            BicScore(
-                lam=float(path.lambdas[i]),
-                score=s,
-                support_size=int(np.count_nonzero(path.solutions[i])),
-                residual_sq=residual_sq,
-            )
-        )
-        if best < 0 or s < scores[best].score or (
-            s == scores[best].score and scores[i].lam > scores[best].lam
-        ):
-            best = i
+    for lam, x, rnorm in zip(path.lambdas, path.solutions, path.residual_norms):
+        residual_sq = float(rnorm) ** 2
+        scores.append(BicScore(float(lam), bic_score(x, residual_sq, n),
+                               int(np.count_nonzero(x)), residual_sq))
+    best = min(range(len(scores)), key=lambda i: (scores[i].score, -scores[i].lam))
     return scores[best].lam, path.solutions[best].copy(), scores
 
 

@@ -54,13 +54,6 @@ class Problem:
         return int(np.count_nonzero(self.x_true))
 
 
-def gen_gaussian_matrix(n: int, p: int, seed: SeedLike) -> SensingOperator:
-    """i.i.d. standard normal entries, columns scaled to unit norm."""
-    rng = np.random.default_rng(seed)
-    op, _ = normalize_columns(rng.standard_normal((n, p)))
-    return op
-
-
 def gen_bernoulli_matrix(n: int, p: int, seed: SeedLike) -> SensingOperator:
     """Equiprobable ±1 entries; normalization makes every entry ±1/sqrt(n)."""
     rng = np.random.default_rng(seed)
@@ -74,7 +67,7 @@ def gen_correlated_gaussian(n: int, p: int, nu: float, seed: SeedLike) -> Sensin
     Columns 2i and 2i+1 become ``z_{2i} + nu*z_{2i+1}`` and
     ``nu*z_{2i} + z_{2i+1}``, so their normalized inner product concentrates
     at ``2*nu/(1+nu^2)``; larger ``nu`` gives larger coherence. ``nu=0``
-    reproduces :func:`gen_gaussian_matrix` bit for bit.
+    leaves i.i.d. standard normal columns: the ``gaussian`` kind.
     """
     if not 0 <= nu < math.inf:  # also rejects NaN
         raise ValueError(f"mixing weight must be finite and >= 0, got {nu}")
@@ -148,7 +141,7 @@ def gen_problem(
         raise ValueError(f"mixing weight must be finite, got {nu}")
     mat_ss = _substream(seed, _MATRIX_STREAM)
     if matrix_kind == "gaussian":
-        op = gen_gaussian_matrix(n, p, mat_ss)
+        op = gen_correlated_gaussian(n, p, 0.0, mat_ss)
     elif matrix_kind == "bernoulli":
         op = gen_bernoulli_matrix(n, p, mat_ss)
     elif matrix_kind == "correlated":

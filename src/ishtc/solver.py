@@ -11,6 +11,7 @@ fixed number of levels ("path" mode, for model selection afterwards).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -82,18 +83,11 @@ class SolverConfig:
             raise ValueError(f"inner iteration count must be >= 1, got {self.kmax}")
         if self.path_len_N < 0:
             raise ValueError(f"path length must be >= 0, got {self.path_len_N}")
-        if isinstance(self.lambda0, str):
-            if self.lambda0 != "auto":
-                raise ValueError(f"lambda0 must be a positive number or 'auto', got {self.lambda0!r}")
-        elif not 0 < self.lambda0 < math.inf:
-            raise ValueError(f"lambda0 must be finite and > 0, got {self.lambda0}")
-        if isinstance(self.lambda_star, str):
-            if self.lambda_star != "path":
-                raise ValueError(
-                    f"lambda_star must be a positive number or 'path', got {self.lambda_star!r}"
-                )
-        elif not 0 < self.lambda_star < math.inf:
-            raise ValueError(f"lambda_star must be finite and > 0, got {self.lambda_star}")
+        for name, word in (("lambda0", "auto"), ("lambda_star", "path")):
+            value = getattr(self, name)
+            if value != word if isinstance(value, str) else not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number or {word!r}, "
+                                 f"got {value!r}")
         if (
             not isinstance(self.lambda0, str)
             and not isinstance(self.lambda_star, str)
@@ -104,14 +98,7 @@ class SolverConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "penalty": self.penalty.value,
-            "lambda0": self.lambda0,
-            "gamma": self.gamma,
-            "kmax": self.kmax,
-            "lambda_star": self.lambda_star,
-            "path_len_N": self.path_len_N,
-        }
+        return {**dataclasses.asdict(self), "penalty": self.penalty.value}
 
 
 @dataclass(frozen=True)
@@ -151,17 +138,11 @@ class TheoryParams:
         self.validate_basic()
         ms = self.mu_s
         if penalty is Penalty.L1:
-            lo = 1.0 / (1.0 - 2.0 * ms)
-            if not self.c > lo:
-                raise ValueError(
-                    f"soft-penalty constant must exceed 1/(1-2*mu*s) = {lo:.6g}, got {self.c}"
-                )
+            kind, rule, lo = "soft", "1/(1-2*mu*s)", 1.0 / (1.0 - 2.0 * ms)
         else:
-            lo = 1.0 / (2.0 * (1.0 - 2.0 * ms) ** 2)
-            if not self.c > lo:
-                raise ValueError(
-                    f"hard-penalty constant must exceed 1/(2*(1-2*mu*s)^2) = {lo:.6g}, got {self.c}"
-                )
+            kind, rule, lo = "hard", "1/(2*(1-2*mu*s)^2)", 1.0 / (2.0 * (1.0 - 2.0 * ms) ** 2)
+        if not self.c > lo:
+            raise ValueError(f"{kind}-penalty constant must exceed {rule} = {lo:.6g}, got {self.c}")
 
 
 def lambda_star(theory: TheoryParams, penalty: Penalty) -> float:

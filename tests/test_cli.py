@@ -60,7 +60,7 @@ def test_solve_with_guarantee_stop(tmp_path):
     rc = main([
         "solve", "--problem", str(prob_dir), "--penalty", "l0",
         "--gamma", "0.8", "--kmax", "5", "--lambda-star", "auto",
-        "--mu-s", "0.05", "--c0", "3", "--out", str(out),
+        "--mu-s", "0.05", "--c", "3", "--out", str(out),
     ])
     assert rc == EXIT_OK
     x = read_array(out / "x_star.bin")
@@ -70,6 +70,7 @@ def test_solve_with_guarantee_stop(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["params"]["lambda_star"] == "auto"
     assert manifest["params"]["mu_s"] == 0.05
+    assert manifest["params"]["c"] == 3.0
     epsilon = json.loads((prob_dir / "manifest.json").read_text())["epsilon"]
     level = lambda_star(TheoryParams(0.05, 1, 3.0, epsilon), Penalty.L0)
     assert manifest["solver_config"]["lambda_star"] == level
@@ -87,9 +88,33 @@ def test_solve_auto_stop_with_zero_noise_exit_2(tmp_path, capsys):
     _gen_small(prob_dir, sigma="0")
     capsys.readouterr()
     rc = main(["solve", "--problem", str(prob_dir), "--penalty", "l1", "--lambda-star", "auto",
-               "--mu-s", "0.05", "--c1", "3", "--out", str(tmp_path / "run")])
+               "--mu-s", "0.05", "--c", "3", "--out", str(tmp_path / "run")])
     assert rc == EXIT_SCHEMA
     assert "not positive" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("penalty", ["l1", "l0"])
+def test_solve_auto_stop_without_c_exit_2(penalty, tmp_path, capsys):
+    """One --c serves both penalties; a derived stop without it is refused."""
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(prob_dir), "--penalty", penalty, "--lambda-star", "auto",
+               "--mu-s", "0.05", "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err.strip())["error"].endswith("--c")
+    assert not (tmp_path / "run").exists()
+
+
+def test_gen_unallocatable_size_exit_2(tmp_path, capsys):
+    """A 2^29 x 2^30 float64 matrix is 4 EiB, past any 64-bit address space,
+    so the allocation is refused at once and nothing is written."""
+    rc = main(["gen", "--kind", "gaussian", "--n", "536870912", "--p", "1073741824",
+               "--s", "1", "--out", str(tmp_path / "prob")])
+    assert rc == EXIT_SCHEMA
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == EXIT_SCHEMA and "allocate" in record["error"]
+    assert not (tmp_path / "prob").exists()
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])
@@ -99,7 +124,7 @@ def test_solve_lambda0_at_or_below_derived_stop_exit_2(scale, tmp_path):
     epsilon = json.loads((prob_dir / "manifest.json").read_text())["epsilon"]
     level = lambda_star(TheoryParams(0.05, 1, 3.0, epsilon), Penalty.L0)
     rc = main(["solve", "--problem", str(prob_dir), "--penalty", "l0", "--lambda-star", "auto",
-               "--mu-s", "0.05", "--c0", "3", "--lambda0", repr(scale * level),
+               "--mu-s", "0.05", "--c", "3", "--lambda0", repr(scale * level),
                "--out", str(tmp_path / "run")])
     assert rc == EXIT_SCHEMA
     assert not (tmp_path / "run").exists()

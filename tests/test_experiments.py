@@ -164,7 +164,7 @@ def test_phase_csv_writers(tmp_path):
 
 def test_benchmark_table_and_csv(tmp_path):
     rows = benchmark_table([320], matrix_kind="bernoulli", penalty=Penalty.L1,
-                           replications=2, base_seed=1)
+                           replications=2, dr=100.0, sigma=5e-2, base_seed=1)
     assert len(rows) == 1
     row = rows[0]
     assert (row["p"], row["n"], row["s"]) == (320, 80, 2)
@@ -178,8 +178,7 @@ def test_benchmark_table_and_csv(tmp_path):
 
 
 def test_fft_haar_reconstruction_small():
-    result = fft_haar_reconstruction(n=48, p=64, levels=2, s=8, dr=10.0,
-                                     sigma=1e-5, seed=2)
+    result = fft_haar_reconstruction(n=48, p=64, s=8, dr=10.0, sigma=1e-5, seed=2)
     assert result["psnr_db"] > 30.0
     assert result["rel_l2"] < 1e-2
     assert result["n_matvec"] > 0

@@ -104,21 +104,77 @@ def test_select_tie_breaks_toward_larger_lambda():
     assert lam == 1.0
 
 
+def _reversed(path):
+    return PathResult(
+        lambdas=path.lambdas[::-1],
+        solutions=path.solutions[::-1],
+        residual_norms=path.residual_norms[::-1],
+        objective_values=path.objective_values[::-1],
+        matvec_cumulative=path.matvec_cumulative[::-1],
+    )
+
+
 def test_select_invariant_under_reordering():
     op, y = _instance()
     path = run_full_path(op, y, Penalty.L1, N=30)
     lam_fwd, x_fwd, _ = select_bic(path, y)
-    order = np.arange(len(path))[::-1]
-    reversed_path = PathResult(
-        lambdas=np.asarray(path.lambdas)[order],
-        solutions=[path.solutions[i] for i in order],
-        residual_norms=np.asarray(path.residual_norms)[order],
-        objective_values=np.asarray(path.objective_values)[order],
-        matvec_cumulative=np.asarray(path.matvec_cumulative)[order],
-    )
-    lam_rev, x_rev, _ = select_bic(reversed_path, y)
+    lam_rev, x_rev, _ = select_bic(_reversed(path), y)
     assert lam_rev == lam_fwd
     np.testing.assert_array_equal(x_rev, x_fwd)
+
+
+def _loop_select(path, y):
+    """Reference selection: an explicit scan that keeps the first strict
+    minimum and moves to an equal score only at a larger level."""
+    n = int(np.asarray(y).shape[0])
+    scores = []
+    best = -1
+    for i in range(len(path)):
+        residual_sq = float(path.residual_norms[i]) ** 2
+        s = bic_score(path.solutions[i], residual_sq, n)
+        scores.append(BicScore(lam=float(path.lambdas[i]), score=s,
+                               support_size=int(np.count_nonzero(path.solutions[i])),
+                               residual_sq=residual_sq))
+        if best < 0 or s < scores[best].score or (
+            s == scores[best].score and scores[i].lam > scores[best].lam
+        ):
+            best = i
+    return scores[best].lam, path.solutions[best].copy(), scores
+
+
+def _assert_same_selection(path, y):
+    lam, x, scores = select_bic(path, y)
+    lam_ref, x_ref, scores_ref = _loop_select(path, y)
+    assert lam == lam_ref
+    np.testing.assert_array_equal(x, x_ref)
+    assert scores == scores_ref
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "fft-haar"])
+@pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
+def test_select_matches_loop_oracle(kind, penalty):
+    """On real paths, read forward and reversed, with exact score ties and
+    saturated (+inf) levels, the selection equals the reference scan."""
+    saturated = 0
+    for seed in range(3):
+        prob = gen_problem(kind, n=24, p=64, s=3, dr=10.0, sigma=1e-2, seed=seed)
+        path = run_full_path(prob.op, prob.y, penalty, N=60)
+        _assert_same_selection(path, prob.y)
+        _assert_same_selection(_reversed(path), prob.y)
+        saturated += sum(np.count_nonzero(x) > 24 for x in path.solutions)
+    if penalty is Penalty.L1:
+        assert saturated > 0
+
+
+def test_select_matches_loop_oracle_on_repeated_levels():
+    """A repeated level with equal scores, plus saturated entries, in both orders."""
+    y = np.array([1.0, 1.0])
+    same = np.array([1.0, 1.0, 0.0])
+    sols = [np.zeros(3), same, same.copy(), np.ones(3), np.ones(3), np.array([1.0, 0.0, 0.0])]
+    path = _path_from([2.0, 0.5, 0.5, 0.25, 0.125, 0.5], sols, y)
+    assert sum(s.score == np.inf for s in select_bic(path, y)[2]) == 2
+    _assert_same_selection(path, y)
+    _assert_same_selection(_reversed(path), y)
 
 
 def test_select_deterministic():

@@ -8,7 +8,6 @@ from ishtc.linop import mutual_coherence
 from ishtc.probgen import (
     gen_bernoulli_matrix,
     gen_correlated_gaussian,
-    gen_gaussian_matrix,
     gen_problem,
     gen_sparse_signal,
     load_problem,
@@ -19,7 +18,7 @@ from ishtc.probgen import (
 @pytest.mark.parametrize(
     "make",
     [
-        lambda seed: gen_gaussian_matrix(20, 50, seed),
+        lambda seed: gen_correlated_gaussian(20, 50, 0.0, seed),
         lambda seed: gen_bernoulli_matrix(20, 50, seed),
         lambda seed: gen_correlated_gaussian(20, 50, 0.3, seed),
     ],
@@ -34,7 +33,7 @@ def test_matrix_determinism(make):
 
 def test_matrix_columns_unit_norm():
     for op in (
-        gen_gaussian_matrix(40, 90, 0),
+        gen_correlated_gaussian(40, 90, 0.0, 0),
         gen_bernoulli_matrix(40, 90, 0),
         gen_correlated_gaussian(40, 90, 0.4, 0),
     ):
@@ -59,15 +58,10 @@ def test_bernoulli_coherence_mostly_below_half():
 
 def test_gaussian_coherence_level():
     # 500x1000 normalized Gaussian columns peak near 0.2 pairwise overlap
-    mus = [mutual_coherence(gen_gaussian_matrix(500, 1000, seed)).mu for seed in range(20)]
+    mus = [mutual_coherence(gen_correlated_gaussian(500, 1000, 0.0, seed)).mu
+           for seed in range(20)]
     assert all(0.15 <= m <= 0.28 for m in mus)
     assert 0.17 <= float(np.mean(mus)) <= 0.23
-
-
-def test_correlated_nu_zero_matches_gaussian_bitwise():
-    a = gen_correlated_gaussian(30, 60, 0.0, 7)
-    b = gen_gaussian_matrix(30, 60, 7)
-    np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
 def test_correlated_pair_inner_products():
