@@ -2,6 +2,12 @@
 with fitted 90%-success curves, benchmark tables, and the 1D partial-FFT
 reconstruction study.
 
+The sweep, the grid and the table run one trial, ``_trial``: draw a seeded
+instance with ``gen_problem``, run the full path, pick a level by extended
+BIC and score the pick. It returns (metrics, matvec count, solve seconds),
+or None when the solve diverged. Each driver lists its draws, maps them
+through one ``_run_ordered`` call and reduces the records.
+
 Every driver is a pure function of its spec and base seed. Replication
 seeds are derived from the base seed with stable integer keys, tasks are
 independent, and aggregation follows task submission order, so results are
@@ -13,16 +19,18 @@ sharpens trend comparisons without biasing per-point estimates.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .linop import haar_inverse
-from .metrics import reconstruction_metrics, psnr
+from .metrics import Metrics, reconstruction_metrics, psnr
 from .modelselect import run_full_path, select_bic
 from .probgen import gen_problem
 from .solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError
@@ -42,11 +50,36 @@ def _task_seed(base_seed: int, *key: int) -> int:
 
 
 def _run_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
-    """Map tasks to results, preserving task order for any worker count."""
-    if workers <= 1:
+    """Map tasks to results, preserving task order for any worker count.
+
+    The pool starts at most one thread per task and per CPU: an executor
+    starts a thread per submit up to its ``max_workers``.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    threads = min(workers, len(tasks), os.cpu_count() or 1)
+    if threads <= 1:
         return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _trial(
+    draw: dict, penalty: Penalty, gamma: float, kmax: int, path_len: int
+) -> Optional[Tuple[Metrics, int, float]]:
+    """Full path and BIC pick on ``gen_problem(**draw)``: the pick's metrics,
+    the path's matvec count and the seconds of path plus pick, or None when
+    the solve diverged. The problem and the path die here, so a large grid
+    holds only these records."""
+    problem = gen_problem(**draw)
+    t0 = time.perf_counter()
+    try:
+        path = run_full_path(problem.op, problem.y, penalty, gamma=gamma, kmax=kmax, N=path_len)
+    except DivergenceError:
+        return None
+    _, x_best, _ = select_bic(path, problem.y)
+    elapsed = time.perf_counter() - t0
+    return reconstruction_metrics(x_best, problem.x_true), path.n_matvec, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +111,6 @@ class SweepSpec:
         object.__setattr__(self, "values", tuple(self.values))
 
 
-def _bic_solution(problem, penalty: Penalty, gamma: float, kmax: int, path_len: int):
-    path = run_full_path(problem.op, problem.y, penalty, gamma=gamma, kmax=kmax, N=path_len)
-    lam_best, x_best, _ = select_bic(path, problem.y)
-    return lam_best, x_best, path
-
-
 def support_probability_sweep(
     spec: SweepSpec,
     penalty: Penalty,
@@ -97,28 +124,17 @@ def support_probability_sweep(
     Each replication runs the full path and scores the BIC-selected
     solution; a diverged solve counts as a failure, never an abort.
     """
-    tasks = [(vi, rep) for vi in range(len(spec.values)) for rep in range(spec.replications)]
-
-    def one(task: Tuple[int, int]) -> int:
-        vi, rep = task
-        params = dict(spec.fixed)
-        params[spec.varied] = spec.values[vi]
-        kind = params.pop("matrix_kind")
-        if spec.varied == "s":
-            params["s"] = int(round(params["s"]))
-        problem = gen_problem(kind, seed=_task_seed(spec.base_seed, rep), **params)
-        try:
-            _, x_best, _ = _bic_solution(problem, penalty, gamma, kmax, path_len)
-        except DivergenceError:
-            return 0
-        return int(reconstruction_metrics(x_best, problem.x_true).exact_support)
-
-    flat = _run_ordered(one, tasks, workers)
-    rows: List[Tuple[float, float]] = []
-    for vi, value in enumerate(spec.values):
-        wins = sum(flat[vi * spec.replications : (vi + 1) * spec.replications])
-        rows.append((float(value), wins / spec.replications))
-    return rows
+    draws = [
+        {**spec.fixed, spec.varied: int(round(value)) if spec.varied == "s" else value,
+         "seed": _task_seed(spec.base_seed, rep)}
+        for value in spec.values
+        for rep in range(spec.replications)
+    ]
+    trial = partial(_trial, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
+    records = _run_ordered(trial, draws, workers)
+    wins = [r is not None and r[0].exact_support for r in records]
+    per_value = np.reshape(wins, (len(spec.values), spec.replications)).sum(axis=1)
+    return [(float(value), int(w) / spec.replications) for value, w in zip(spec.values, per_value)]
 
 
 def sweep_to_csv(rows: Sequence[Tuple[float, float]], path: Union[str, Path]) -> None:
@@ -185,6 +201,8 @@ def phase_transition_grid(
             raise ValueError(f"{name} grid must lie within [0.1, 1]")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not success_threshold >= 0:  # also rejects NaN
+        raise ValueError(f"success threshold must be >= 0, got {success_threshold}")
 
     grid = PhaseGrid(
         delta_grid=delta_grid,
@@ -193,31 +211,15 @@ def phase_transition_grid(
         trials=trials,
         p=p,
     )
-    tasks = [
-        (i, j, t)
-        for i in range(delta_grid.size)
-        for j in range(rho_grid.size)
-        for t in range(trials)
-    ]
-
-    def one(task: Tuple[int, int, int]) -> int:
-        i, j, t = task
+    draws = []
+    for i, j, t in np.ndindex(*grid.successes.shape, trials):
         n, s = grid.cell_dims(i, j)
-        problem = gen_problem(
-            "gaussian", n=n, p=p, s=s, dr=1.0, sigma=sigma,
-            seed=_task_seed(base_seed, i, j, t),
-        )
-        try:
-            _, x_best, _ = _bic_solution(problem, penalty, gamma, kmax, path_len)
-        except DivergenceError:
-            return 0
-        return int(
-            reconstruction_metrics(x_best, problem.x_true).rel_l2 <= success_threshold
-        )
-
-    flat = _run_ordered(one, tasks, workers)
-    for (i, j, _t), win in zip(tasks, flat):
-        grid.successes[i, j] += win
+        draws.append(dict(matrix_kind="gaussian", n=n, p=p, s=s, dr=1.0, sigma=sigma,
+                          seed=_task_seed(base_seed, i, j, t)))
+    trial = partial(_trial, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
+    records = _run_ordered(trial, draws, workers)
+    wins = [r is not None and r[0].rel_l2 <= success_threshold for r in records]
+    grid.successes[...] = np.reshape(wins, (*grid.successes.shape, trials)).sum(axis=2)
     return grid
 
 
@@ -343,27 +345,26 @@ def benchmark_table(
     ``diverged`` and left out of the means, which are nan when every
     replication diverged.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    if len(sizes) == 0:
+        raise ValueError("sizes is empty")
+    if min(sizes) < 4:
+        raise ValueError(f"every size must be >= 4, so that n = p//4 >= 1; got {min(sizes)}")
+    dims = [(p, p // 4, max(1, p // 4 // 40)) for p in sizes]
+    draws = [
+        dict(matrix_kind=matrix_kind, n=n, p=p, s=s, dr=dr, sigma=sigma,
+             seed=_task_seed(base_seed, si, rep))
+        for si, (p, n, s) in enumerate(dims)
+        for rep in range(replications)
+    ]
+    trial = partial(_trial, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
+    records = _run_ordered(trial, draws, workers)
     rows: List[dict] = []
-    for si, p in enumerate(sizes):
-        n = p // 4
-        s = max(1, n // 40)
-
-        def one(rep: int) -> Optional[Tuple[float, int, float, float]]:
-            problem = gen_problem(
-                matrix_kind, n=n, p=p, s=s, dr=dr, sigma=sigma,
-                seed=_task_seed(base_seed, si, rep),
-            )
-            t0 = time.perf_counter()
-            try:
-                _, x_best, path = _bic_solution(problem, penalty, gamma, kmax, path_len)
-            except DivergenceError:
-                return None
-            elapsed = time.perf_counter() - t0
-            m = reconstruction_metrics(x_best, problem.x_true)
-            return elapsed, path.n_matvec, m.rel_l2, m.abs_linf
-
-        done = [r for r in _run_ordered(one, range(replications), workers) if r is not None]
-        means = [sum(col) / len(done) for col in zip(*done)] if done else [math.nan] * 4
+    for si, (p, n, s) in enumerate(dims):
+        done = [r for r in records[si * replications : (si + 1) * replications] if r is not None]
+        cols = zip(*((seconds, n_matvec, m.rel_l2, m.abs_linf) for m, n_matvec, seconds in done))
+        means = [sum(col) / len(done) for col in cols] if done else [math.nan] * 4
         rows.append({"p": p, "n": n, "s": s, **dict(zip(BENCH_COLUMNS[3:7], means)),
                      "diverged": replications - len(done)})
     return rows

@@ -5,9 +5,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ishtc import solver
+from ishtc import experiments, solver
 from ishtc.cli import COMMANDS, EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
 from ishtc.probgen import gen_problem, load_problem
 from ishtc.solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, TheoryParams, lambda_star
@@ -280,6 +280,79 @@ def test_bench_counts_diverged_replications(tmp_path):
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["diverged"] == "1"
     assert cells["n_matvec"] == cells["rel_l2"] == "nan"
+
+
+#: A toy run of each experiment subcommand; a flag given again overrides these.
+TOY_RUNS = {
+    "sweep": ["sweep", "--varied", "s", "--values", "1", "--n", "4", "--p", "8",
+              "--replications", "1", "--path-len", "5"],
+    "phase": ["phase", "--p", "8", "--delta-grid", "0.5", "--rho-grid", "0.5", "--trials", "1",
+              "--path-len", "5"],
+    "bench": ["bench", "--sizes", "16", "--replications", "1", "--path-len", "5"],
+}
+
+
+def _count_trials(mp):
+    """Record every call of ``experiments.run_full_path``, as each trial makes one."""
+    calls = []
+    solve = experiments.run_full_path
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    mp.setattr(experiments, "run_full_path", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("bench", ["--replications", "0"]), ("bench", ["--replications", "-2"]),
+    ("bench", ["--sizes", ""]), ("bench", ["--sizes", "3"]), ("bench", ["--sizes", "16,3"]),
+    ("sweep", ["--workers", "0"]), ("phase", ["--workers", "-3"]), ("bench", ["--workers", "0"]),
+    ("phase", ["--threshold", "nan"]), ("phase", ["--threshold", "-0.5"]),
+])
+def test_experiment_refusals_exit_2_before_any_trial(command, flags, tmp_path, capsys,
+                                                     monkeypatch):
+    calls = _count_trials(monkeypatch)
+    out = tmp_path / "run"
+    assert main([*TOY_RUNS[command], *flags, "--out", str(out)]) == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err.strip())["type"] == "ValueError"
+    assert not out.exists()
+    assert not calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(TOY_RUNS)), count=st.integers(-1, 3),
+       workers=st.integers(-1, 4), size=st.integers(0, 20),
+       threshold=st.one_of(st.sampled_from([0.0, math.inf, -math.inf, math.nan]),
+                           st.floats(-0.5, 1.0)))
+@example(command="phase", count=2, workers=2, size=0, threshold=0.0)
+@example(command="phase", count=1, workers=1, size=0, threshold=math.inf)
+@example(command="bench", count=2, workers=3, size=4, threshold=0.0)
+def test_experiment_refused_or_runs_every_trial(command, count, workers, size, threshold,
+                                                tmp_path_factory):
+    """Any counts, worker number and threshold either exit 2 before a trial or
+    exit 0 having run every trial once."""
+    out = tmp_path_factory.mktemp(command) / "run"
+    count_flag = "--trials" if command == "phase" else "--replications"
+    # "--flag=value" keeps argparse from reading "-inf" as a flag.
+    argv = [*TOY_RUNS[command], f"{count_flag}={count}", f"--workers={workers}"]
+    refused = count < 1 or workers < 1
+    if command == "phase":
+        argv.append(f"--threshold={threshold}")
+        refused |= not threshold >= 0
+    if command == "bench":
+        argv.append(f"--sizes={size}")
+        refused |= size < 4
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_trials(mp)
+        rc = main([*argv, "--out", str(out)])
+    if refused:
+        assert rc == EXIT_SCHEMA
+        assert not calls and not out.exists()
+    else:
+        assert rc == EXIT_OK
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("key, value, echoed", [

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
+from ishtc import experiments
 from ishtc.experiments import (
     PhaseGrid,
     SweepSpec,
@@ -175,6 +177,53 @@ def test_benchmark_table_and_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "p,n,s,time_s,n_matvec,rel_l2,abs_linf,diverged"
     assert len(lines) == 2
+
+
+def test_benchmark_table_worker_invariance():
+    kwargs = dict(matrix_kind="bernoulli", penalty=Penalty.L1, replications=2, dr=100.0,
+                  sigma=5e-2, base_seed=1)
+    serial = benchmark_table([320, 400], workers=1, **kwargs)
+    pooled = benchmark_table([320, 400], workers=3, **kwargs)
+    for rows in (serial, pooled):
+        assert [(r["p"], r["diverged"]) for r in rows] == [(320, 0), (400, 0)]
+        for r in rows:
+            del r["time_s"]
+    assert serial == pooled
+
+
+class _FakePool:
+    """Stands in for ThreadPoolExecutor: records ``max_workers``, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, cpus, threads", [
+    (5000, 64, 4), (5000, 3, 3), (2, 64, 2), (1, 64, None), (5000, 1, None), (5000, None, None),
+])
+def test_pool_has_at_most_one_thread_per_task_and_per_cpu(workers, cpus, threads, monkeypatch):
+    """A 2x1 grid with 2 trials is 4 tasks; the pool size is min(workers, tasks, CPUs),
+    and a size of one runs in the calling thread without a pool."""
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    kwargs = dict(p=40, trials=2, penalty=Penalty.L1, base_seed=3, path_len=10)
+    grid = phase_transition_grid([0.5, 1.0], [0.1], workers=workers, **kwargs)
+    assert _FakePool.sizes == ([] if threads is None else [threads])
+    monkeypatch.undo()
+    serial = phase_transition_grid([0.5, 1.0], [0.1], workers=1, **kwargs)
+    np.testing.assert_array_equal(grid.successes, serial.successes)
 
 
 def test_fft_haar_reconstruction_small():
