@@ -18,7 +18,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def cmd_solve(params: dict, args: argparse.Namespace) -> int:
     x_star, path = continuation_solve(problem.op, problem.y, config)
     outputs = {"x_star.bin": partial(write_array, arr=x_star), "path.csv": path.to_csv}
     record = {"solver_config": config.to_json_dict(), "n_matvec": path.n_matvec,
-              "path_levels": len(path)}
+              "path_levels": len(path), "stop_reason": path.stop_reason}
     summary = {"n_matvec": path.n_matvec, "support_size": int(np.count_nonzero(x_star))}
     return _finish(args, t0, "solve", params, outputs, record, summary)
 
@@ -193,7 +193,8 @@ def cmd_path(params: dict, args: argparse.Namespace) -> int:
     outputs = {"x_best.bin": partial(write_array, arr=x_best), "path.csv": path.to_csv,
                "scores.csv": partial(scores_to_csv, scores)}
     picked = {"lambda_best": lam_best, "support_size": int(np.count_nonzero(x_best))}
-    return _finish(args, t0, "path", params, outputs, {**picked, "n_matvec": path.n_matvec}, picked)
+    record = {**picked, "n_matvec": path.n_matvec, "stop_reason": path.stop_reason}
+    return _finish(args, t0, "path", params, outputs, record, picked)
 
 
 def cmd_sweep(params: dict, args: argparse.Namespace) -> int:
@@ -316,8 +317,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError (one JSON record, exit 2) instead
+    of printing the usage text and exiting; ``--help`` and ``--version`` still
+    print and exit 0. Subcommand parsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ishtc", description=(
+    parser = _Parser(prog="ishtc", description=(
         "Sparse recovery via thresholded continuation: generate problems, "
         "solve them, and reproduce recovery studies."))
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -334,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, _, opts = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        handler, _, opts = COMMANDS[args.command]
         return handler(_resolve(args, opts), args)
     except DivergenceError as exc:
         error, code = exc, EXIT_DIVERGED

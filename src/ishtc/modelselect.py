@@ -1,9 +1,10 @@
 """Full-path runs with information-criterion selection of the stopping level.
 
 When the noise norm is unknown there is no principled stopping level, so the
-workflow is: run the continuation over a fixed number of levels, then score
-every recorded solution by fit plus complexity and keep the best. The score
-is the extended (high-dimensional) information criterion
+workflow is: run the continuation over at most a fixed number of levels
+(ending where the support saturates), then score every recorded solution by
+fit plus complexity and keep the best. The score is the extended
+(high-dimensional) information criterion
 ``n * ln(RSS/n) + support_size * (ln(n) + 2*ln(p))``: with many more
 candidate columns than samples, the classical ``ln(n)``-only complexity
 charge demonstrably admits noise-fitting entries (measured on 500x1000
@@ -29,6 +30,7 @@ from .solver import (
     PathResult,
     SolverConfig,
     continuation_solve,
+    saturated,
 )
 from .linop import SensingOperator
 from .storage import write_csv
@@ -56,7 +58,8 @@ def run_full_path(
     kmax: int = DEFAULT_KMAX,
     N: int = DEFAULT_PATH_LEN,
 ) -> PathResult:
-    """Run exactly ``N`` levels past the auto starting level (N+1 records)."""
+    """Run at most ``N`` levels past the auto starting level (at most N+1
+    records); the path ends at its first level with a saturated support."""
     config = SolverConfig(penalty=penalty, gamma=gamma, kmax=kmax, path_len_N=N)
     _, path = continuation_solve(op, y, config)
     return path
@@ -65,15 +68,16 @@ def run_full_path(
 def bic_score(x: np.ndarray, residual_sq: float, n: int) -> float:
     """``n * ln(RSS/n) + ||x||_0 * (ln(n) + 2*ln(p))`` with ``p = len(x)``.
 
-    +inf for over-saturated supports: a support larger than ``min(n, p)``
-    can interpolate the data, so such models are excluded outright.
+    +inf for a :func:`~ishtc.solver.saturated` support (larger than
+    ``min(n, p)``): it can interpolate the data, so such models are excluded
+    outright.
     """
     if residual_sq < 0:
         raise ValueError(f"squared residual must be >= 0, got {residual_sq}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     support_size = int(np.count_nonzero(x))
-    if support_size > min(n, x.size):
+    if saturated(support_size, n, x.size):
         return math.inf
     rss = max(residual_sq, RSS_FLOOR)
     return n * math.log(rss / n) + support_size * (math.log(n) + 2.0 * math.log(x.size))

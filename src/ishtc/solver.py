@@ -5,8 +5,11 @@ at a large penalty level ``lambda0``, it repeatedly shrinks the level by a
 factor ``gamma``, runs ``kmax`` fixed-stepsize thresholded gradient steps
 warm-started from the previous level's solution, and records every per-level
 estimate. Stopping is either at an explicit target level (such as the
-noise-calibrated :func:`lambda_star` of :class:`TheoryParams`), or after a
-fixed number of levels ("path" mode, for model selection afterwards).
+noise-calibrated :func:`lambda_star` of :class:`TheoryParams`), or after at
+most a fixed number of levels ("path" mode, for model selection afterwards).
+A path-mode solve also ends at the first level whose support is
+:func:`saturated`: model selection scores it +inf, and the later levels,
+at smaller penalties, have been seen to stay saturated.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ class SolverConfig:
     ``lambda0`` is the starting level, or ``"auto"`` for the largest level at
     which 0 is still the exact minimizer (costs one adjoint matvec).
     ``lambda_star`` is the stopping level (e.g. from :func:`lambda_star`), or
-    ``"path"`` to run exactly ``path_len_N`` levels and leave the choice to
-    model selection. Numeric levels must be finite and positive; ``kmax`` and
+    ``"path"`` to run at most ``path_len_N`` levels and leave the choice to
+    model selection; the path ends earlier at its first :func:`saturated`
+    level. Numeric levels must be finite and positive; ``kmax`` and
     ``path_len_N`` must be integers (not bools).
     """
 
@@ -189,6 +193,13 @@ def theoretical_error_bound(theory: TheoryParams, penalty: Penalty) -> float:
     return (math.sqrt(2.0 * theory.c) - 1.0) * theory.epsilon / ms
 
 
+def saturated(support_size: int, n: int, p: int) -> bool:
+    """Whether a support is larger than ``min(n, p)``. Such a model can
+    interpolate the data: BIC scores it +inf, and a path-mode solve ends at
+    the first level that reaches it."""
+    return support_size > min(n, p)
+
+
 @dataclass
 class PathResult:
     """Per-level record of one continuation run.
@@ -197,8 +208,13 @@ class PathResult:
     level appends one entry. ``matvec_cumulative`` counts the operator
     applications spent up to each level: 2 per inner iteration plus 1
     adjoint when ``lambda0`` was auto-derived, worked out from the planned
-    levels rather than counted at run time. The residual norm of a level
-    is that of the residual its last inner step carried, so it costs none.
+    levels, cut where the run stopped, rather than counted at run time. The
+    residual norm of a level is that of the residual its last inner step
+    carried, so it costs none.
+    ``stop_reason`` says why the solve ended: ``"path_len"`` (a path-mode
+    solve ran all its planned levels), ``"saturated"`` (a path-mode solve
+    reached a :func:`saturated` support) or ``"lambda_star"`` (the next
+    level would fall below a numeric stopping level).
     """
 
     lambdas: np.ndarray
@@ -206,6 +222,7 @@ class PathResult:
     residual_norms: np.ndarray
     objective_values: np.ndarray
     matvec_cumulative: np.ndarray
+    stop_reason: str
 
     @property
     def supports(self) -> List[np.ndarray]:
@@ -286,7 +303,8 @@ def continuation_solve(
     Returns the final estimate and the per-level path. With a numeric
     stopping level the final estimate is the solution at the last level whose
     value is still >= the stopping level; in "path" mode it is the solution
-    at the last of the ``path_len_N`` levels (use BIC selection afterwards).
+    at the last of at most ``path_len_N`` levels, the first level whose
+    support is :func:`saturated` if one is (use BIC selection afterwards).
 
     Raises :class:`ValueError` on non-finite data or when the solve would
     plan more than :data:`MAX_INNER_STEPS` inner steps, and
@@ -308,6 +326,8 @@ def continuation_solve(
         lam0 = float(config.lambda0)
     lambdas = _plan(lam0, config)
 
+    path_mode = config.lambda_star == "path"
+    stop_reason = "path_len" if path_mode else "lambda_star"
     x, r = np.zeros(op.p), y
     solutions = [x]
     residual_norms = [float(np.linalg.norm(y))]
@@ -325,6 +345,10 @@ def continuation_solve(
         solutions.append(x)
         residual_norms.append(rnorm)
         objective_values.append(objective)
+        if path_mode and saturated(int(np.count_nonzero(x)), op.n, op.p):
+            stop_reason = "saturated"
+            break
+    del lambdas[len(solutions):]  # the plan ends where the run stopped
 
     path = PathResult(
         lambdas=np.array(lambdas),
@@ -332,6 +356,7 @@ def continuation_solve(
         residual_norms=np.array(residual_norms),
         objective_values=np.array(objective_values),
         matvec_cumulative=int(auto) + 2 * config.kmax * np.arange(len(lambdas), dtype=np.int64),
+        stop_reason=stop_reason,
     )
     return path.x_star.copy(), path
 

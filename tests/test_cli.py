@@ -137,7 +137,13 @@ def test_solve_defaults_to_full_path(tmp_path):
     assert main(["solve", "--problem", str(prob_dir), "--penalty", "l1",
                  "--out", str(out)]) == EXIT_OK
     lines = (out / "path.csv").read_text().strip().splitlines()
-    assert len(lines) == 102  # header + levels 0..100
+    # header + levels 0..45: level 45 is the first whose support exceeds min(n, p) = 20
+    assert len(lines) == 47
+    supports = [int(line.split(",")[1]) for line in lines[1:]]
+    assert supports[-1] > 20 and max(supports[:-1]) <= 20
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stop_reason"] == "saturated"
+    assert manifest["path_levels"] == 46
 
 
 def test_solve_rerun_byte_identical_small(tmp_path):
@@ -272,10 +278,11 @@ def test_bench_command(tmp_path):
 
 
 def test_bench_counts_diverged_replications(tmp_path):
-    # At p=160 and the default path length this replication diverges.
+    # With 1000 unit steps per level this Gaussian replication diverges at
+    # p=160 before its support exceeds n = 40.
     out = tmp_path / "run"
-    assert main(["bench", "--sizes", "160", "--replications", "1",
-                 "--out", str(out)]) == EXIT_OK
+    assert main(["bench", "--sizes", "160", "--replications", "1", "--matrix-kind", "gaussian",
+                 "--kmax", "1000", "--path-len", "20", "--out", str(out)]) == EXIT_OK
     header, row = (out / "bench.csv").read_text().strip().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["diverged"] == "1"
@@ -461,6 +468,25 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "ishtc" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["bench", "--sizes", "16", "--workers", "two"], "invalid int value"),
+    (["phase", "--p", "40", "--grid", "3", "--threshold", "-inf"], "expected one argument"),
+    (["path", "--penalty", "l2"], "invalid choice"),
+    ([], "required"),
+    (["nosuch"], "invalid choice"),
+])
+def test_argparse_errors_print_one_json_record(argv, fragment, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default output directory
+    monkeypatch.delenv("ISHTC_OUTDIR", raising=False)
+    assert main(argv) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["exit_code"] == EXIT_SCHEMA
+    assert fragment in record["error"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_fft_haar_problem_through_cli(tmp_path):

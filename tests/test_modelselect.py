@@ -25,8 +25,10 @@ def test_full_path_single_entry_at_n_zero():
 
 
 def test_full_path_visits_all_levels():
-    op, y = _instance()
+    # With n > p no support can exceed min(n, p), so the path runs to its cap.
+    op, y = _instance(n=60, p=30)
     path = run_full_path(op, y, Penalty.L1, gamma=0.8, N=100)
+    assert path.stop_reason == "path_len"
     assert len(path) == 101
     assert float(path.lambdas[-1] / path.lambdas[0]) == pytest.approx(0.8 ** 100, rel=1e-10)
 
@@ -41,6 +43,39 @@ def test_full_path_equals_explicit_stop():
     assert len(direct) == len(path)
     for a, b in zip(path.solutions, direct.solutions):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "fft-haar"])
+@pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
+def test_cut_path_is_a_prefix_of_the_uncut_path(kind, penalty):
+    """On n < p problems the path cut at its first saturated level is a bitwise
+    prefix of the same levels run without the cut (an explicit stop at level
+    N), and BIC picks the same level and solution from both."""
+    N, saturated = 60, 0
+    for seed in range(4):
+        prob = gen_problem(kind, n=24, p=64, s=3, dr=10.0, sigma=1e-2, seed=seed)
+        path = run_full_path(prob.op, prob.y, penalty, gamma=0.8, N=N)
+        lam_stop = float(path.lambdas[0]) * 0.8 ** N * 0.9999  # just below level N
+        cfg = SolverConfig(penalty=penalty, gamma=0.8, lambda_star=lam_stop)
+        _, uncut = continuation_solve(prob.op, prob.y, cfg)
+        assert len(uncut) == N + 1
+        assert uncut.stop_reason == "lambda_star"
+        k = len(path)
+        for name in ("lambdas", "residual_norms", "objective_values", "matvec_cumulative"):
+            assert np.array_equal(getattr(path, name), getattr(uncut, name)[:k]), name
+        for a, b in zip(path.solutions, uncut.solutions[:k]):
+            assert np.array_equal(a, b)
+        if path.stop_reason == "saturated":
+            saturated += 1
+            assert np.count_nonzero(path.x_star) > 24
+            assert all(np.count_nonzero(x) <= 24 for x in path.solutions[:-1])
+        else:
+            assert path.stop_reason == "path_len" and k == N + 1
+        lam_cut, x_cut, _ = select_bic(path, prob.y)
+        lam_uncut, x_uncut, _ = select_bic(uncut, prob.y)
+        assert lam_cut == lam_uncut
+        assert np.array_equal(x_cut, x_uncut)
+    assert saturated >= 1
 
 
 def test_bic_zero_solution_zero_score():
@@ -74,6 +109,7 @@ def _path_from(lams, sols, y):
         residual_norms=np.asarray(residuals),
         objective_values=np.zeros(len(sols)),
         matvec_cumulative=np.zeros(len(sols), dtype=int),
+        stop_reason="path_len",
     )
 
 
@@ -111,6 +147,7 @@ def _reversed(path):
         residual_norms=path.residual_norms[::-1],
         objective_values=path.objective_values[::-1],
         matvec_cumulative=path.matvec_cumulative[::-1],
+        stop_reason=path.stop_reason,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -135,6 +136,19 @@ def test_path_len_cap():
     assert len(path) == 8
 
 
+def test_path_saturating_at_its_cap_reports_saturated():
+    """The stop reason names the rule that ended the path, cap or not."""
+    op, y = _small_instance()
+    cfg = SolverConfig(penalty=Penalty.L1, gamma=0.8, lambda_star="path", path_len_N=100)
+    _, full = continuation_solve(op, y, cfg)
+    assert full.stop_reason == "saturated"
+    last = len(full) - 1
+    _, at_cap = continuation_solve(op, y, dataclasses.replace(cfg, path_len_N=last))
+    _, below = continuation_solve(op, y, dataclasses.replace(cfg, path_len_N=last - 1))
+    assert (at_cap.stop_reason, len(at_cap)) == ("saturated", last + 1)
+    assert (below.stop_reason, len(below)) == ("path_len", last)
+
+
 def test_solver_bit_reproducible():
     op, y = _small_instance()
     cfg = SolverConfig(penalty=Penalty.L0, gamma=0.8, lambda_star="path", path_len_N=25)
@@ -170,7 +184,9 @@ def _diverging_instance():
 def _recomputing_loop(op, y, cfg, lam_stop):
     """Test-only oracle of the loop that recomputes the residual: every step
     is ``x <- T(x + Psi^t (y - Psi x))`` and every level recomputes
-    ``y - Psi x`` once more, uncounted. Returns the PathResult arrays."""
+    ``y - Psi x`` once more, uncounted. Without a stop level the loop also
+    ends after the first level whose support exceeds min(n, p). Returns the
+    PathResult arrays and the stop reason."""
     count = 0
     if cfg.lambda0 == "auto":
         z = float(np.max(np.abs(op.apply_adjoint(y))))
@@ -182,6 +198,7 @@ def _recomputing_loop(op, y, cfg, lam_stop):
     rnorm = float(np.linalg.norm(y))
     levels = [(lam0, x, rnorm, 0.5 * rnorm ** 2, count)]
     lam, level = lam0, 0
+    stop_reason = "path_len" if lam_stop is None else "lambda_star"
     while lam0 > 0.0:
         level += 1
         lam = cfg.gamma * lam
@@ -196,11 +213,14 @@ def _recomputing_loop(op, y, cfg, lam_stop):
             rnorm = float(np.linalg.norm(y - op.apply(x)))
             pen = np.sum(np.abs(x)) if cfg.penalty is Penalty.L1 else np.count_nonzero(x)
             levels.append((lam, x, rnorm, 0.5 * rnorm ** 2 + lam * float(pen), count))
+        if lam_stop is None and np.count_nonzero(x) > min(op.n, op.p):
+            stop_reason = "saturated"
+            break
     lambdas, solutions, rnorms, objectives, counts = zip(*levels)
     return {
         "lambdas": np.array(lambdas), "solutions": list(solutions),
         "residual_norms": np.array(rnorms), "objective_values": np.array(objectives),
-        "matvec_cumulative": np.array(counts, dtype=np.int64),
+        "matvec_cumulative": np.array(counts, dtype=np.int64), "stop_reason": stop_reason,
     }
 
 
@@ -229,6 +249,7 @@ def test_carried_residual_matches_recomputing_loop(kind, penalty, lambda0, stop)
     x_star, path = continuation_solve(problem.op, problem.y, cfg)
     for name in ("lambdas", "residual_norms", "objective_values", "matvec_cumulative"):
         assert np.array_equal(getattr(path, name), ref[name]), name
+    assert path.stop_reason == ref["stop_reason"]
     assert len(path.solutions) == len(ref["solutions"])
     for got, want in zip(path.solutions, ref["solutions"]):
         assert np.array_equal(got, want)
@@ -250,10 +271,11 @@ def test_carried_residual_diverges_where_recomputing_loop_does():
         want.value.lam, want.value.level, want.value.inner_k)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "fft-haar"])
+@pytest.mark.parametrize("kind, path_len", [("gaussian", 20), ("fft-haar", 20), ("gaussian", 100)],
+                         ids=["gaussian", "fft-haar", "gaussian-saturated"])
 @pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
 @pytest.mark.parametrize("lambda0", ["auto", 3.0])
-def test_every_operator_application_is_counted(kind, penalty, lambda0, monkeypatch):
+def test_every_operator_application_is_counted(kind, path_len, penalty, lambda0, monkeypatch):
     problem = _oracle_problem(kind)
     calls = []
     for name in ("apply", "apply_adjoint"):
@@ -263,9 +285,11 @@ def test_every_operator_application_is_counted(kind, penalty, lambda0, monkeypat
 
         monkeypatch.setattr(SensingOperator, name, counted)
     cfg = SolverConfig(penalty=penalty, lambda0=lambda0, gamma=0.8, lambda_star="path",
-                       path_len_N=20)
+                       path_len_N=path_len)
     _, path = continuation_solve(problem.op, problem.y, cfg)
     assert len(calls) == path.n_matvec == path.matvec_cumulative[-1]
+    if path_len == 100:  # a plan cut short is counted as exactly
+        assert path.stop_reason == "saturated" and len(path) < 101
 
 
 # ---------------------------------------------------------------------------
