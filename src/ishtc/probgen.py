@@ -44,9 +44,7 @@ class Problem:
     op: SensingOperator
     x_true: np.ndarray
     y: np.ndarray
-    sigma: float
     epsilon: float
-    seed: int
     meta: dict = field(default_factory=dict)
 
     @property
@@ -167,15 +165,7 @@ def gen_problem(
         "levels": levels if matrix_kind == "fft-haar" else None,
         "seed": seed,
     }
-    return Problem(
-        op=op,
-        x_true=x_true,
-        y=y,
-        sigma=sigma,
-        epsilon=float(np.linalg.norm(noise)),
-        seed=seed,
-        meta=meta,
-    )
+    return Problem(op=op, x_true=x_true, y=y, epsilon=float(np.linalg.norm(noise)), meta=meta)
 
 
 def save_problem(problem: Problem, out_dir: Union[str, Path]) -> Path:
@@ -198,9 +188,7 @@ def save_problem(problem: Problem, out_dir: Union[str, Path]) -> Path:
     manifest_path = out / "manifest.json"
     write_manifest(manifest_path, {
         "op": op_cfg,
-        "sigma": problem.sigma,
         "epsilon": problem.epsilon,
-        "seed": problem.seed,
         "meta": problem.meta,
     })
     return manifest_path
@@ -243,12 +231,5 @@ def load_problem(in_dir: Union[str, Path]) -> Problem:
     else:
         op = make_partial_fft_haar(p=p, n=n, levels=_manifest_int(op_cfg, "levels"),
                                    seed=_manifest_int(op_cfg, "seed"))
-    return Problem(
-        op=op,
-        x_true=x_true,
-        y=y,
-        sigma=float(manifest["sigma"]),
-        epsilon=float(manifest["epsilon"]),
-        seed=_manifest_int(manifest, "seed"),
-        meta=manifest.get("meta", {}),
-    )
+    return Problem(op=op, x_true=x_true, y=y, epsilon=float(manifest["epsilon"]),
+                   meta=manifest.get("meta", {}))

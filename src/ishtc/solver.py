@@ -38,17 +38,18 @@ MAX_INNER_STEPS = 10**6
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate picks up a non-finite entry.
+    """Raised when a level ends with a residual norm that is not finite.
 
     With stepsize fixed at 1 the iteration is not guaranteed to descend, so
     outside the coherence regime it can blow up; the error names the penalty
-    level and inner step so experiment drivers can record the failure.
+    level and the inner step the check followed so experiment drivers can
+    record the failure.
     """
 
     def __init__(self, lam: float, level: int, inner_k: int):
         super().__init__(
-            f"non-finite iterate at path level {level} (lambda={lam:.6g}), "
-            f"inner step {inner_k}"
+            f"non-finite residual norm at path level {level} (lambda={lam:.6g}), "
+            f"after inner step {inner_k}"
         )
         self.lam = lam
         self.level = level
@@ -110,8 +111,10 @@ class TheoryParams:
     """Coherence/noise constants behind the stopping level and error bound.
 
     ``mu`` is the operator's mutual coherence, ``s`` the true sparsity,
-    ``c`` the stopping-rule constant (one constant; its admissible range
-    depends on the penalty), ``epsilon`` the noise norm.
+    ``c`` the stopping-rule constant, read as a level, ``epsilon`` the noise
+    norm. Every rule below is one formula in the constant's cut
+    ``t = penalty.threshold(c)`` (``c`` soft, ``sqrt(2c)`` hard), because
+    both thresholds obey the stability bound ``|y| + t``.
     """
 
     mu: float
@@ -138,59 +141,53 @@ class TheoryParams:
             )
 
     def validate(self, penalty: Penalty) -> None:
-        """Check the coherence regime and the constant's lower bound."""
+        """Check the coherence regime and that the constant's cut exceeds
+        ``1/(1-2*mu*s)``."""
         self.validate_basic()
-        ms = self.mu_s
-        if penalty is Penalty.L1:
-            kind, rule, lo = "soft", "1/(1-2*mu*s)", 1.0 / (1.0 - 2.0 * ms)
-        else:
-            kind, rule, lo = "hard", "1/(2*(1-2*mu*s)^2)", 1.0 / (2.0 * (1.0 - 2.0 * ms) ** 2)
-        if not self.c > lo:
-            raise ValueError(f"{kind}-penalty constant must exceed {rule} = {lo:.6g}, got {self.c}")
+        lo = 1.0 / (1.0 - 2.0 * self.mu_s)
+        t = penalty.threshold(self.c)
+        if not t > lo:
+            raise ValueError(f"{penalty.value} constant c = {self.c} cuts at {t:.6g}, which "
+                             f"must exceed 1/(1-2*mu*s) = {lo:.6g}")
 
 
 def lambda_star(theory: TheoryParams, penalty: Penalty) -> float:
-    """Stopping level from the noise norm: ``c * epsilon`` for the soft
-    penalty, ``c * epsilon**2`` for the hard penalty."""
+    """Stopping level from the noise norm: the level that cuts at ``t * epsilon``,
+    ``c * epsilon`` for the soft penalty and ``c * epsilon**2`` for the hard."""
     theory.validate(penalty)
-    if penalty is Penalty.L1:
-        return theory.c * theory.epsilon
-    return theory.c * theory.epsilon ** 2
+    return penalty.level(penalty.threshold(theory.c) * theory.epsilon)
 
 
 def gamma_lower_bound(theory: TheoryParams, penalty: Penalty) -> float:
     """Smallest admissible shrink factor under the recovery guarantee.
 
     Callers claiming the guarantee must configure ``gamma`` at or above this
-    value (and below 1).
+    value (and below 1). It is the smallest per-level ratio of cuts,
+    ``g = 2*mu*s/(1-1/t)``, read as a ratio of levels.
     """
     theory.validate(penalty)
-    ms = theory.mu_s
-    if penalty is Penalty.L1:
-        return 2.0 * ms / (1.0 - 1.0 / theory.c)
-    return (2.0 * ms / (1.0 - 1.0 / math.sqrt(2.0 * theory.c))) ** 2
+    g = 2.0 * theory.mu_s / (1.0 - 1.0 / penalty.threshold(theory.c))
+    return penalty.level(g) / penalty.level(1.0)
 
 
 def theoretical_error_bound(theory: TheoryParams, penalty: Penalty) -> float:
     """Guaranteed sup-norm error of the returned solution.
 
-    ``(c-1)*epsilon/(mu*s)`` for the soft penalty,
-    ``(sqrt(2c)-1)*epsilon/(mu*s)`` for the hard penalty. This is a pure
-    substitution, so boundary constants evaluate too; only the helpers that
-    claim the guarantee (``lambda_star``, ``gamma_lower_bound``) enforce the
-    strict constant constraint.
+    ``(t-1)*epsilon/(mu*s)`` for the constant's cut ``t``: ``c`` for the soft
+    penalty, ``sqrt(2c)`` for the hard. This is a pure substitution, so
+    boundary constants evaluate too (only ``t >= 1`` is required); only the
+    helpers that claim the guarantee (``lambda_star``, ``gamma_lower_bound``)
+    enforce the strict constant constraint.
     """
     theory.validate_basic()
     ms = theory.mu_s
     if ms == 0:
         raise ValueError("bound undefined at zero coherence")
-    if penalty is Penalty.L1:
-        if theory.c < 1.0:
-            raise ValueError(f"soft-penalty constant must be >= 1, got {theory.c}")
-        return (theory.c - 1.0) * theory.epsilon / ms
-    if theory.c < 0.5:
-        raise ValueError(f"hard-penalty constant must be >= 1/2, got {theory.c}")
-    return (math.sqrt(2.0 * theory.c) - 1.0) * theory.epsilon / ms
+    t = penalty.threshold(theory.c)
+    if t < 1.0:
+        raise ValueError(f"{penalty.value} constant c = {theory.c} cuts at {t:.6g}, "
+                         f"which must be >= 1")
+    return (t - 1.0) * theory.epsilon / ms
 
 
 def saturated(support_size: int, n: int, p: int) -> bool:
@@ -232,10 +229,6 @@ class PathResult:
     def n_matvec(self) -> int:
         return int(self.matvec_cumulative[-1])
 
-    @property
-    def x_star(self) -> np.ndarray:
-        return self.solutions[-1]
-
     def __len__(self) -> int:
         return len(self.solutions)
 
@@ -259,12 +252,6 @@ def inner_iterate(
     ``r = y - Psi x``; returns the new iterate and residual. Exactly 2 matvecs."""
     x_next = threshold_vector(x + op.apply_adjoint(r), lam, penalty)
     return x_next, y - op.apply(x_next)
-
-
-def _penalty_term(x: np.ndarray, penalty: Penalty) -> float:
-    if penalty is Penalty.L1:
-        return float(np.sum(np.abs(x)))
-    return float(np.count_nonzero(x))
 
 
 def _plan(lam0: float, config: SolverConfig) -> List[float]:
@@ -303,12 +290,13 @@ def continuation_solve(
     Returns the final estimate and the per-level path. With a numeric
     stopping level the final estimate is the solution at the last level whose
     value is still >= the stopping level; in "path" mode it is the solution
-    at the last of at most ``path_len_N`` levels, the first level whose
-    support is :func:`saturated` if one is (use BIC selection afterwards).
+    at the last of at most ``path_len_N`` levels, or, when the path ends at a
+    :func:`saturated` level, at the level before it, the last one BIC can
+    score (use BIC selection afterwards).
 
     Raises :class:`ValueError` on non-finite data or when the solve would
     plan more than :data:`MAX_INNER_STEPS` inner steps, and
-    :class:`DivergenceError` on a non-finite iterate.
+    :class:`DivergenceError` when a level's residual norm is not finite.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.n,):
@@ -320,8 +308,7 @@ def continuation_solve(
     if auto:
         # Largest level at which thresholding Psi^t y yields exactly 0, so the
         # zero start is the true minimizer there.
-        z_inf = float(np.max(np.abs(op.apply_adjoint(y))))
-        lam0 = z_inf if config.penalty is Penalty.L1 else z_inf ** 2 / 2.0
+        lam0 = config.penalty.level(float(np.max(np.abs(op.apply_adjoint(y)))))
     else:
         lam0 = float(config.lambda0)
     lambdas = _plan(lam0, config)
@@ -334,17 +321,17 @@ def continuation_solve(
     objective_values = [0.5 * residual_norms[0] ** 2]
     for level, lam in enumerate(lambdas[1:], 1):
         # Overflow surfaces as the explicit divergence error below, so
-        # numpy's own warnings are suppressed.
+        # numpy's own warnings are suppressed. A non-finite iterate makes the
+        # carried residual non-finite, so one check of its norm covers both.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, config.kmax + 1):
+            for _ in range(config.kmax):
                 x, r = inner_iterate(op, y, x, r, lam, config.penalty)
-                if not np.all(np.isfinite(x)):
-                    raise DivergenceError(lam, level, k)
             rnorm = float(np.linalg.norm(r))
-            objective = 0.5 * rnorm ** 2 + lam * _penalty_term(x, config.penalty)
+        if not math.isfinite(rnorm):
+            raise DivergenceError(lam, level, config.kmax)
         solutions.append(x)
         residual_norms.append(rnorm)
-        objective_values.append(objective)
+        objective_values.append(0.5 * rnorm ** 2 + lam * config.penalty.term(x))
         if path_mode and saturated(int(np.count_nonzero(x)), op.n, op.p):
             stop_reason = "saturated"
             break
@@ -358,5 +345,5 @@ def continuation_solve(
         matvec_cumulative=int(auto) + 2 * config.kmax * np.arange(len(lambdas), dtype=np.int64),
         stop_reason=stop_reason,
     )
-    return path.x_star.copy(), path
+    return solutions[-2 if stop_reason == "saturated" else -1].copy(), path
 

@@ -3,9 +3,11 @@
 Array files carry a 16-byte header (magic ``ISHT``, u32 rows, u32 cols,
 u32 reserved, all little-endian) followed by the float64 payload in
 column-major order. Vectors are stored with ``cols == 1``. The format is
-fixed-endian so files compare byte-for-byte across runs and machines.
-Manifests are written with sorted keys and CSV floats with round-trip
-``repr`` for the same reason.
+fixed-endian, manifests are written with sorted keys and CSV floats with
+round-trip ``repr``, so the bytes of an output depend only on the values in
+it. Those values are identical across runs and worker counts on one host
+with one numpy/BLAS build and one thread setting, but not across them: a
+threaded BLAS product can change the last bits.
 """
 
 from __future__ import annotations

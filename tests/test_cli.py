@@ -146,6 +146,24 @@ def test_solve_defaults_to_full_path(tmp_path):
     assert manifest["path_levels"] == 46
 
 
+def test_saturated_path_solve_answers_with_the_level_before(tmp_path, capsys):
+    """On criterion 9's problem the path ends saturated, and solve writes the
+    level before it, a model BIC can score, not the saturated one."""
+    prob_dir, out = tmp_path / "prob", tmp_path / "run"
+    assert main(["gen", "--kind", "gaussian", "--n", "40", "--p", "80", "--s", "4", "--dr", "10",
+                 "--sigma", "1e-3", "--seed", "21", "--out", str(prob_dir)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", "--problem", str(prob_dir), "--penalty", "l1",
+                 "--out", str(out)]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert json.loads((out / "manifest.json").read_text())["stop_reason"] == "saturated"
+    supports = [int(line.split(",")[1])
+                for line in (out / "path.csv").read_text().strip().splitlines()[1:]]
+    assert supports[-1] > 40
+    x_star = read_array(out / "x_star.bin")
+    assert np.count_nonzero(x_star) == summary["support_size"] == supports[-2] == 27
+
+
 def test_solve_rerun_byte_identical_small(tmp_path):
     prob_dir = tmp_path / "prob"
     _gen_small(prob_dir)

@@ -4,7 +4,7 @@ import pytest
 from ishtc.linop import normalize_columns
 from ishtc.modelselect import BicScore, bic_score, run_full_path, scores_to_csv, select_bic
 from ishtc.probgen import gen_problem
-from ishtc.solver import PathResult, SolverConfig, continuation_solve
+from ishtc.solver import DivergenceError, PathResult, SolverConfig, continuation_solve
 from ishtc.thresholding import Penalty
 
 
@@ -45,20 +45,31 @@ def test_full_path_equals_explicit_stop():
         np.testing.assert_array_equal(a, b)
 
 
+def _stop_at_level(path, penalty, level):
+    """A config whose explicit stop lies just below the path's level ``level``."""
+    return SolverConfig(penalty=penalty, gamma=0.8,
+                        lambda_star=float(path.lambdas[0]) * 0.8 ** level * 0.9999)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "fft-haar"])
 @pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
 def test_cut_path_is_a_prefix_of_the_uncut_path(kind, penalty):
     """On n < p problems the path cut at its first saturated level is a bitwise
     prefix of the same levels run without the cut (an explicit stop at level
-    N), and BIC picks the same level and solution from both."""
+    N, or at the level before the one where the uncut run's residual norm
+    overflows), and BIC picks the same level and solution from both."""
     N, saturated = 60, 0
     for seed in range(4):
         prob = gen_problem(kind, n=24, p=64, s=3, dr=10.0, sigma=1e-2, seed=seed)
         path = run_full_path(prob.op, prob.y, penalty, gamma=0.8, N=N)
-        lam_stop = float(path.lambdas[0]) * 0.8 ** N * 0.9999  # just below level N
-        cfg = SolverConfig(penalty=penalty, gamma=0.8, lambda_star=lam_stop)
-        _, uncut = continuation_solve(prob.op, prob.y, cfg)
-        assert len(uncut) == N + 1
+        levels = N
+        try:
+            _, uncut = continuation_solve(prob.op, prob.y, _stop_at_level(path, penalty, N))
+        except DivergenceError as exc:
+            assert path.stop_reason == "saturated" and exc.level > len(path)
+            levels = exc.level - 1
+            _, uncut = continuation_solve(prob.op, prob.y, _stop_at_level(path, penalty, levels))
+        assert len(uncut) == levels + 1
         assert uncut.stop_reason == "lambda_star"
         k = len(path)
         for name in ("lambdas", "residual_norms", "objective_values", "matvec_cumulative"):
@@ -67,7 +78,7 @@ def test_cut_path_is_a_prefix_of_the_uncut_path(kind, penalty):
             assert np.array_equal(a, b)
         if path.stop_reason == "saturated":
             saturated += 1
-            assert np.count_nonzero(path.x_star) > 24
+            assert np.count_nonzero(path.solutions[-1]) > 24
             assert all(np.count_nonzero(x) <= 24 for x in path.solutions[:-1])
         else:
             assert path.stop_reason == "path_len" and k == N + 1

@@ -185,6 +185,19 @@ def test_problem_save_load_round_trip(tmp_path, kind, extra):
     np.testing.assert_array_equal(back.op.apply(x), prob.op.apply(x))
 
 
+def test_manifest_stores_each_fact_once_and_older_manifests_load(tmp_path):
+    prob = gen_problem("gaussian", n=10, p=20, s=2, dr=1.0, sigma=1e-2, seed=3)
+    save_problem(prob, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == {"op", "epsilon", "meta"}
+    assert (manifest["meta"]["sigma"], manifest["meta"]["seed"]) == (1e-2, 3)
+    # Manifests written before also carried top-level copies of sigma and seed.
+    (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "sigma": 1e-2, "seed": 3}))
+    back = load_problem(tmp_path)
+    np.testing.assert_array_equal(back.y, prob.y)
+    assert (back.epsilon, back.meta) == (prob.epsilon, prob.meta)
+
+
 def test_load_problem_unknown_operator_kind(tmp_path):
     save_problem(gen_problem("gaussian", n=10, p=20, s=2, dr=1.0, sigma=0.0, seed=0), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())

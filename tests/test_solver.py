@@ -185,8 +185,10 @@ def _recomputing_loop(op, y, cfg, lam_stop):
     """Test-only oracle of the loop that recomputes the residual: every step
     is ``x <- T(x + Psi^t (y - Psi x))`` and every level recomputes
     ``y - Psi x`` once more, uncounted. Without a stop level the loop also
-    ends after the first level whose support exceeds min(n, p). Returns the
-    PathResult arrays and the stop reason."""
+    ends after the first level whose support exceeds min(n, p). A level whose
+    residual norm is not finite raises DivergenceError. Returns the
+    PathResult arrays, the stop reason and the returned estimate: the level
+    before a saturated last one, else the last."""
     count = 0
     if cfg.lambda0 == "auto":
         z = float(np.max(np.abs(op.apply_adjoint(y))))
@@ -205,14 +207,14 @@ def _recomputing_loop(op, y, cfg, lam_stop):
         if (lam < lam_stop) if lam_stop is not None else level > cfg.path_len_N:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, cfg.kmax + 1):
+            for _ in range(cfg.kmax):
                 x = threshold_vector(x + op.apply_adjoint(y - op.apply(x)), lam, cfg.penalty)
                 count += 2
-                if not np.all(np.isfinite(x)):
-                    raise DivergenceError(lam, level, k)
             rnorm = float(np.linalg.norm(y - op.apply(x)))
-            pen = np.sum(np.abs(x)) if cfg.penalty is Penalty.L1 else np.count_nonzero(x)
-            levels.append((lam, x, rnorm, 0.5 * rnorm ** 2 + lam * float(pen), count))
+        if not math.isfinite(rnorm):
+            raise DivergenceError(lam, level, cfg.kmax)
+        pen = np.sum(np.abs(x)) if cfg.penalty is Penalty.L1 else np.count_nonzero(x)
+        levels.append((lam, x, rnorm, 0.5 * rnorm ** 2 + lam * float(pen), count))
         if lam_stop is None and np.count_nonzero(x) > min(op.n, op.p):
             stop_reason = "saturated"
             break
@@ -221,6 +223,7 @@ def _recomputing_loop(op, y, cfg, lam_stop):
         "lambdas": np.array(lambdas), "solutions": list(solutions),
         "residual_norms": np.array(rnorms), "objective_values": np.array(objectives),
         "matvec_cumulative": np.array(counts, dtype=np.int64), "stop_reason": stop_reason,
+        "x_star": solutions[-2 if stop_reason == "saturated" else -1],
     }
 
 
@@ -253,7 +256,7 @@ def test_carried_residual_matches_recomputing_loop(kind, penalty, lambda0, stop)
     assert len(path.solutions) == len(ref["solutions"])
     for got, want in zip(path.solutions, ref["solutions"]):
         assert np.array_equal(got, want)
-    assert np.array_equal(x_star, ref["solutions"][-1])
+    assert np.array_equal(x_star, ref["x_star"])
     assert path.n_matvec == ref["matvec_cumulative"][-1]
     for support, sol in zip(path.supports, ref["solutions"]):
         assert np.array_equal(support, np.flatnonzero(sol))
@@ -269,6 +272,24 @@ def test_carried_residual_diverges_where_recomputing_loop_does():
         continuation_solve(op, y, cfg)
     assert (got.value.lam, got.value.level, got.value.inner_k) == (
         want.value.lam, want.value.level, want.value.inner_k)
+
+
+def test_overflowing_residual_norm_is_divergence():
+    """The solve raises at the first level whose residual norm overflows,
+    while that level's iterate and residual are still finite."""
+    op, y = _diverging_instance()
+    cfg = SolverConfig(penalty=Penalty.L1, gamma=0.8, lambda_star="path", path_len_N=1000,
+                       kmax=1)
+    with pytest.raises(DivergenceError) as err:
+        continuation_solve(op, y, cfg)
+    assert err.value.inner_k == 1
+    _, before = continuation_solve(op, y, dataclasses.replace(cfg, path_len_N=err.value.level - 1))
+    assert np.all(np.isfinite(before.residual_norms))
+    x = before.solutions[-1]
+    with np.errstate(over="ignore"):
+        x, r = inner_iterate(op, y, x, y - op.apply(x), err.value.lam, Penalty.L1)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(r))
+        assert np.linalg.norm(r) == math.inf
 
 
 @pytest.mark.parametrize("kind, path_len", [("gaussian", 20), ("fft-haar", 20), ("gaussian", 100)],
@@ -499,6 +520,45 @@ def test_error_bound_substitution():
     assert theoretical_error_bound(soft, Penalty.L1) == pytest.approx(0.12)
     hard = TheoryParams(mu=0.25, s=1, c=2.0, epsilon=0.1)
     assert theoretical_error_bound(hard, Penalty.L0) == pytest.approx(0.4)
+
+
+#: Oracles: each guarantee rule as a closed form per penalty, in the order
+#: the constant's lower bound, lambda_star, the gamma bound, the error bound.
+CLOSED_FORMS = {
+    Penalty.L1: (lambda ms: 1.0 / (1.0 - 2.0 * ms),
+                 lambda ms, c, eps: c * eps,
+                 lambda ms, c, eps: 2.0 * ms / (1.0 - 1.0 / c),
+                 lambda ms, c, eps: (c - 1.0) * eps / ms),
+    Penalty.L0: (lambda ms: 1.0 / (2.0 * (1.0 - 2.0 * ms) ** 2),
+                 lambda ms, c, eps: c * eps ** 2,
+                 lambda ms, c, eps: (2.0 * ms / (1.0 - 1.0 / math.sqrt(2.0 * c))) ** 2,
+                 lambda ms, c, eps: (math.sqrt(2.0 * c) - 1.0) * eps / ms),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(penalty=st.sampled_from(list(Penalty)), ms=st.floats(1e-6, 0.499),
+       ratio=st.floats(0.5, 100.0), eps=st.one_of(st.just(0.0), st.floats(1e-100, 1e3)))
+def test_guarantee_rules_match_the_closed_forms(penalty, ms, ratio, eps):
+    """One formula in the cut t reproduces each per-penalty closed form: the
+    bounds bit for bit, the l0 stop level within 4 ulp, and the refusal
+    everywhere but within 1e-12 (relative) of the constant's lower bound."""
+    c_min, stop, gamma, error = CLOSED_FORMS[penalty]
+    c = c_min(ms) * ratio
+    theory = TheoryParams(mu=ms, s=1, c=c, epsilon=eps)
+    try:
+        theory.validate(penalty)
+        refused = False
+    except ValueError:
+        refused = True
+    if abs(ratio - 1.0) > 1e-12:
+        assert refused == (not c > c_min(ms))
+    if refused:
+        return
+    assert gamma_lower_bound(theory, penalty) == gamma(ms, c, eps)
+    assert theoretical_error_bound(theory, penalty) == error(ms, c, eps)
+    want, ulps = stop(ms, c, eps), 4 if penalty is Penalty.L0 else 0
+    assert abs(lambda_star(theory, penalty) - want) <= ulps * math.ulp(want)
 
 
 def test_error_bound_zero_coherence():

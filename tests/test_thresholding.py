@@ -120,6 +120,20 @@ def test_hard_output_is_zero_or_input():
     np.testing.assert_array_equal(out[kept], v[kept])
 
 
+@given(lam=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)))
+def test_level_inverts_threshold(lam):
+    assert Penalty.L1.level(Penalty.L1.threshold(lam)) == lam
+    assert abs(Penalty.L0.level(Penalty.L0.threshold(lam)) - lam) <= 2 * math.ulp(lam)
+
+
+@given(v=st.lists(st.floats(allow_nan=False), min_size=1, max_size=20),
+       lam=st.floats(0.0, 1e300))
+def test_hard_threshold_cuts_at_the_penalty_threshold(v, lam):
+    v = np.array(v)
+    want = np.where(np.abs(v) > Penalty.L0.threshold(lam), v, 0.0)
+    assert threshold_vector(v, lam, Penalty.L0).tobytes() == want.tobytes()
+
+
 @given(x=FINITE, y=FINITE, lam=LAM)
 def test_stability_soft_property(x, y, lam):
     assert abs(soft_threshold(x + y, lam) - x) <= abs(y) + lam + 1e-9 * (1 + abs(x) + abs(y))
