@@ -198,15 +198,11 @@ def cmd_path(params: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(params: dict, args: argparse.Namespace) -> int:
-    varied = params["varied"]
-    if varied == "nu" and params["matrix_kind"] != "correlated":
-        raise ValueError("sweeping nu needs --matrix-kind correlated")
-    fixed = _pick(params, "matrix_kind", "n", "p", "s", "dr", "sigma")
-    if params["matrix_kind"] == "correlated":
-        fixed["nu"] = params["nu"] if params["nu"] is not None else 0.0
-    fixed.pop(varied, None)
-    spec = SweepSpec(varied=varied, values=tuple(_csv(params["values"], float)), fixed=fixed,
-                     replications=params["replications"], base_seed=params["seed"])
+    # Only parses: SweepSpec and gen_problem own every rule about what a sweep may run.
+    fixed = dict(filter(lambda kv: kv[0] != params["varied"] and kv[1] is not None,
+                        _pick(params, "matrix_kind", "n", "p", "s", "dr", "sigma", "nu").items()))
+    spec = SweepSpec(varied=params["varied"], values=tuple(_csv(params["values"], float)),
+                     fixed=fixed, replications=params["replications"], base_seed=params["seed"])
     t0 = time.perf_counter()
     rows = support_probability_sweep(spec, **_experiment_kwargs(params))
     return _finish(args, t0, "sweep", {**params, "values": list(spec.values)},
@@ -215,9 +211,10 @@ def cmd_sweep(params: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_phase(params: dict, args: argparse.Namespace) -> int:
-    if params["delta_grid"] is not None and params["rho_grid"] is not None:
+    given = [params[k] is not None for k in ("grid", "delta_grid", "rho_grid")]
+    if given == [False, True, True]:
         deltas, rhos = _csv(params["delta_grid"], float), _csv(params["rho_grid"], float)
-    elif params["grid"] is not None:
+    elif given == [True, False, False]:
         deltas = rhos = np.linspace(0.1, 1.0, params["grid"]).tolist()
     else:
         raise ValueError("phase needs either --grid K or both --delta-grid and --rho-grid")
@@ -307,7 +304,9 @@ COMMANDS = {
     )),
     "bench": (cmd_bench, "mean cost/error table over problem sizes", (
         Opt("sizes", "--sizes", default=REQUIRED, help="comma-separated signal lengths p"),
-        Opt("matrix_kind", "--matrix-kind", default="bernoulli", choices=MATRIX_KINDS),
+        # bench has no --nu, so it offers no kind that needs one.
+        Opt("matrix_kind", "--matrix-kind", default="bernoulli",
+            choices=[k for k in MATRIX_KINDS if k != "correlated"]),
         PENALTY._replace(default="l1"),
         Opt("replications", "--replications", int, 10),
         DR,

@@ -89,10 +89,10 @@ def _trial(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-axis sweep: ``varied`` ranges over ``values``, the rest is fixed.
-
-    ``fixed`` holds the remaining generator parameters (matrix_kind, n, p,
-    and whichever of s/sigma/nu are not being varied).
+    """One-axis sweep: ``varied`` (s, sigma or nu) ranges over ``values``, and
+    ``fixed`` holds the other ``gen_problem`` arguments, which it checks. A
+    spec refuses an empty grid, no replications, non-integer ``s`` values,
+    and a ``nu`` sweep unless ``fixed["matrix_kind"]`` is ``"correlated"``.
     """
 
     varied: str
@@ -109,6 +109,10 @@ class SweepSpec:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         object.__setattr__(self, "values", tuple(self.values))
+        if self.varied == "s" and not all(float(v).is_integer() for v in self.values):
+            raise ValueError(f"s values must be integers, got {list(self.values)}")
+        if self.varied == "nu" and self.fixed.get("matrix_kind") != "correlated":
+            raise ValueError("sweeping nu needs matrix_kind 'correlated'")
 
 
 def support_probability_sweep(
@@ -125,7 +129,7 @@ def support_probability_sweep(
     solution; a diverged solve counts as a failure, never an abort.
     """
     draws = [
-        {**spec.fixed, spec.varied: int(round(value)) if spec.varied == "s" else value,
+        {**spec.fixed, spec.varied: int(value) if spec.varied == "s" else value,
          "seed": _task_seed(spec.base_seed, rep)}
         for value in spec.values
         for rep in range(spec.replications)

@@ -112,9 +112,10 @@ class TheoryParams:
 
     ``mu`` is the operator's mutual coherence, ``s`` the true sparsity,
     ``c`` the stopping-rule constant, read as a level, ``epsilon`` the noise
-    norm. Every rule below is one formula in the constant's cut
-    ``t = penalty.threshold(c)`` (``c`` soft, ``sqrt(2c)`` hard), because
-    both thresholds obey the stability bound ``|y| + t``.
+    norm; building the params checks the coherence regime, and
+    :meth:`validate` checks ``c``. Every rule below is one formula in the
+    constant's cut ``t = penalty.threshold(c)`` (``c`` soft, ``sqrt(2c)``
+    hard), because both thresholds obey the stability bound ``|y| + t``.
     """
 
     mu: float
@@ -126,24 +127,18 @@ class TheoryParams:
     def mu_s(self) -> float:
         return self.mu * self.s
 
-    def validate_basic(self) -> None:
-        """Check the coherence regime without the constant's lower bound."""
+    def __post_init__(self) -> None:
         if self.mu < 0:
             raise ValueError(f"coherence must be >= 0, got {self.mu}")
         if self.s < 1:
             raise ValueError(f"sparsity must be >= 1, got {self.s}")
         if self.epsilon < 0:
             raise ValueError(f"noise norm must be >= 0, got {self.epsilon}")
-        ms = self.mu_s
-        if not ms < 0.5:
-            raise ValueError(
-                f"guarantees need mu*s < 1/2, got mu*s = {ms:.6g}"
-            )
+        if not self.mu_s < 0.5:
+            raise ValueError(f"guarantees need mu*s < 1/2, got mu*s = {self.mu_s:.6g}")
 
     def validate(self, penalty: Penalty) -> None:
-        """Check the coherence regime and that the constant's cut exceeds
-        ``1/(1-2*mu*s)``."""
-        self.validate_basic()
+        """Check that the constant's cut exceeds ``1/(1-2*mu*s)``."""
         lo = 1.0 / (1.0 - 2.0 * self.mu_s)
         t = penalty.threshold(self.c)
         if not t > lo:
@@ -179,7 +174,6 @@ def theoretical_error_bound(theory: TheoryParams, penalty: Penalty) -> float:
     helpers that claim the guarantee (``lambda_star``, ``gamma_lower_bound``)
     enforce the strict constant constraint.
     """
-    theory.validate_basic()
     ms = theory.mu_s
     if ms == 0:
         raise ValueError("bound undefined at zero coherence")
@@ -294,15 +288,18 @@ def continuation_solve(
     :func:`saturated` level, at the level before it, the last one BIC can
     score (use BIC selection afterwards).
 
-    Raises :class:`ValueError` on non-finite data or when the solve would
-    plan more than :data:`MAX_INNER_STEPS` inner steps, and
+    Raises :class:`ValueError` on data whose norm is not finite or when the
+    solve would plan more than :data:`MAX_INNER_STEPS` inner steps, and
     :class:`DivergenceError` when a level's residual norm is not finite.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.n,):
         raise ValueError(f"expected data of length {op.n}, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("data contains NaN or infinite entries")
+    # Refuses NaN, infinite and overflowing (above about 1e154) entries, warning-free.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_norm = float(np.linalg.norm(y))
+    if not math.isfinite(y_norm):
+        raise ValueError(f"data norm is {y_norm}: NaN, infinite or overflowing entries")
 
     auto = config.lambda0 == "auto"
     if auto:
@@ -317,7 +314,7 @@ def continuation_solve(
     stop_reason = "path_len" if path_mode else "lambda_star"
     x, r = np.zeros(op.p), y
     solutions = [x]
-    residual_norms = [float(np.linalg.norm(y))]
+    residual_norms = [y_norm]
     objective_values = [0.5 * residual_norms[0] ** 2]
     for level, lam in enumerate(lambdas[1:], 1):
         # Overflow surfaces as the explicit divergence error below, so

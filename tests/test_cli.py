@@ -267,6 +267,22 @@ def test_sweep_nu_requires_correlated(tmp_path):
     assert rc == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("flags", [["--varied", "s", "--values", "1,2"],
+                                   ["--varied", "nu", "--values", "0,0.5,0.9", "--s", "2"]],
+                         ids=["s", "nu"])
+def test_correlated_sweep_worker_invariance(flags, tmp_path):
+    args = ["sweep", "--matrix-kind", "correlated", "--nu", "0.3", "--n", "20", "--p", "40",
+            "--dr", "1", "--sigma", "1e-3", "--replications", "3", "--path-len", "30",
+            "--seed", "2", *flags]
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(args + ["--workers", "1", "--out", str(out1)]) == EXIT_OK
+    assert main(args + ["--workers", "2", "--out", str(out2)]) == EXIT_OK
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    fixed = json.loads((out1 / "manifest.json").read_text())["fixed"]
+    assert fixed["matrix_kind"] == "correlated"
+    assert fixed.get("nu") == (None if flags[1] == "nu" else 0.3)
+
+
 def test_phase_command(tmp_path):
     out = tmp_path / "run"
     rc = main([
@@ -284,6 +300,18 @@ def test_phase_command(tmp_path):
 
 def test_phase_requires_some_grid(tmp_path):
     assert main(["phase", "--p", "40", "--out", str(tmp_path)]) == EXIT_SCHEMA
+
+
+def test_phase_grid_k_equals_its_explicit_grids(tmp_path):
+    base = ["phase", "--p", "20", "--trials", "2", "--seed", "1", "--path-len", "30"]
+    by_k, explicit = tmp_path / "k", tmp_path / "explicit"
+    assert main([*base, "--grid", "2", "--out", str(by_k)]) == EXIT_OK
+    assert main([*base, "--delta-grid", "0.1,1.0", "--rho-grid", "0.1,1.0",
+                 "--out", str(explicit)]) == EXIT_OK
+    for name in ("phase.csv", "curve90.csv"):
+        assert (by_k / name).read_bytes() == (explicit / name).read_bytes()
+    params = json.loads((by_k / "manifest.json").read_text())["params"]
+    assert params["delta_grid"] == params["rho_grid"] == [0.1, 1.0]
 
 
 def test_bench_command(tmp_path):
@@ -344,6 +372,14 @@ def test_experiment_refusals_exit_2_before_any_trial(command, flags, tmp_path, c
     assert json.loads(capsys.readouterr().err.strip())["type"] == "ValueError"
     assert not out.exists()
     assert not calls
+
+
+def test_sweep_echoes_nu_for_every_kind(tmp_path):
+    out = tmp_path / "run"
+    assert main([*TOY_RUNS["sweep"], "--varied", "sigma", "--values", "0.1", "--s", "2",
+                 "--nu", "0.9", "--out", str(out)]) == EXIT_OK
+    fixed = json.loads((out / "manifest.json").read_text())["fixed"]
+    assert fixed == {"matrix_kind": "gaussian", "n": 4, "p": 8, "s": 2, "dr": 100.0, "nu": 0.9}
 
 
 @settings(max_examples=60, deadline=None)
@@ -507,6 +543,60 @@ def test_argparse_errors_print_one_json_record(argv, fragment, capsys, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+SWEEP = ["sweep", "--n", "4", "--p", "8", "--s", "2", "--replications", "1", "--path-len", "5"]
+PHASE = ["phase", "--p", "8", "--trials", "1", "--path-len", "5"]
+
+
+@pytest.mark.parametrize("argv, config, code, fragment", [
+    # Inputs the CLI used to rewrite, drop or crash on.
+    ([*SWEEP, "--varied", "s", "--values", "2.6,2.4"], None, EXIT_SCHEMA, "must be integers"),
+    ([*SWEEP, "--varied", "s", "--values", "inf"], None, EXIT_SCHEMA, "must be integers"),
+    ([*SWEEP, "--varied", "s", "--values=-inf"], None, EXIT_SCHEMA, "must be integers"),
+    ([*SWEEP, "--varied", "s", "--values", "nan"], None, EXIT_SCHEMA, "must be integers"),
+    ([*SWEEP, "--varied", "sigma", "--values", "0.1", "--matrix-kind", "correlated"], None,
+     EXIT_SCHEMA, "needs a mixing weight nu"),
+    ([*SWEEP, "--varied", "nu", "--values", "0,0.5,0.9"], None, EXIT_SCHEMA, "sweeping nu"),
+    ([*PHASE, "--grid", "2", "--delta-grid", "0.5"], None, EXIT_SCHEMA, "either --grid K"),
+    ([*PHASE, "--grid", "2", "--delta-grid", "0.5", "--rho-grid", "0.5"], None, EXIT_SCHEMA,
+     "either --grid K"),
+    (["bench", "--sizes", "16", "--matrix-kind", "correlated"], None, EXIT_SCHEMA,
+     "invalid choice: 'correlated'"),
+    # Refusals no other test reaches.
+    (["gen", "--n", "4", "--p", "8", "--s", "1"], None, EXIT_SCHEMA,
+     "missing required parameter: kind"),
+    (["path", "--problem", "prob", "--config", "nosuch.json"], None, EXIT_MISSING,
+     "does not exist"),
+    (["path", "--problem", "prob"], [1], EXIT_SCHEMA, "JSON object"),
+    (["path", "--problem", "prob"], {"penalty": "l2"}, EXIT_SCHEMA, "penalty"),
+    (["solve", "--problem", "prob", "--penalty", "l1"], {"lambda_star": "soon"}, EXIT_SCHEMA,
+     "'soon'"),
+    (["gen", "--kind", "correlated", "--n", "4", "--p", "8", "--s", "1", "--nu=-1"], None,
+     EXIT_SCHEMA, "mixing weight"),
+    ([*PHASE, "--grid", "0"], None, EXIT_SCHEMA, "grid is empty"),
+], ids=["sweep-s-2.6,2.4", "sweep-s-inf", "sweep-s--inf", "sweep-s-nan",
+        "sweep-correlated-without-nu", "sweep-nu-on-gaussian", "phase-grid-and-delta-grid",
+        "phase-grid-and-both-grids", "bench-correlated", "gen-without-kind", "missing-config",
+        "config-list", "config-penalty-l2", "config-lambda-star-soon", "gen-nu-negative",
+        "phase-grid-0"])
+def test_refusals_print_one_json_record(argv, config, code, fragment, tmp_path, capsys,
+                                        monkeypatch):
+    """Exit 2 or 3 with one JSON record naming the rule, before any trial and
+    without an output directory."""
+    calls = _count_trials(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    assert main([*argv, "--out", "run"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["exit_code"] == code
+    assert fragment in record["error"]
+    assert not (tmp_path / "run").exists()
+    assert not calls
+
+
 def test_fft_haar_problem_through_cli(tmp_path):
     prob_dir = tmp_path / "prob"
     assert main(["gen", "--kind", "fft-haar", "--n", "48", "--p", "64",
@@ -603,11 +693,13 @@ def test_path_on_unknown_operator_kind_exit_2(tmp_path, capsys):
     assert "toeplitz" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
-def test_path_rejects_nan_data(tmp_path, capsys):
+def _assert_path_refuses_data_entry(tmp_path, capsys, value):
+    """``path`` on data with one entry replaced exits 2 with one ValueError
+    record and writes nothing."""
     prob_dir = tmp_path / "prob"
     _gen_small(prob_dir)
     y = read_array(prob_dir / "y.bin")
-    y[2] = np.nan
+    y[2] = value
     write_array(prob_dir / "y.bin", y)
     capsys.readouterr()
     rc = main(["path", "--problem", str(prob_dir), "--penalty", "l0",
@@ -616,6 +708,17 @@ def test_path_rejects_nan_data(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.strip())["type"] == "ValueError"
+    assert not (tmp_path / "run").exists()
+
+
+def test_path_rejects_nan_data(tmp_path, capsys):
+    _assert_path_refuses_data_entry(tmp_path, capsys, np.nan)
+
+
+def test_path_rejects_data_whose_norm_overflows(tmp_path, capsys):
+    """Finite data past about 1e154 overflows its norm: a bad input (exit 2),
+    not a divergence (exit 4)."""
+    _assert_path_refuses_data_entry(tmp_path, capsys, 1e200)
 
 
 def _gen_fft_haar_small(out_dir):

@@ -73,6 +73,13 @@ def test_sweep_spec_validation():
         SweepSpec(varied="s", values=(), fixed={}, replications=1)
     with pytest.raises(ValueError):
         SweepSpec(varied="s", values=(1.0,), fixed={}, replications=0)
+    for bad in (2.6, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="integers"):
+            SweepSpec(varied="s", values=(2.0, bad), fixed={}, replications=1)
+    with pytest.raises(ValueError, match="correlated"):
+        SweepSpec(varied="nu", values=(0.0, 0.5, 0.9), replications=1,
+                  fixed={"matrix_kind": "gaussian", "n": 20, "p": 40, "s": 2})
+    SweepSpec(varied="nu", values=(0.0, 0.5), fixed={"matrix_kind": "correlated"}, replications=1)
 
 
 def test_sweep_csv(tmp_path):
@@ -120,6 +127,13 @@ def test_fit_all_success_clamped_high():
     assert vars(grid).keys() == vars(before).keys()
     for name, value in vars(before).items():
         assert np.array_equal(getattr(grid, name), value), name
+
+
+def test_fit_rising_column_clamped_high():
+    # Rates rise from 0 to 1: no downward crossing of 0.9, so the top of the grid.
+    grid = _column_grid([0.1, 0.3, 0.5], [0, 2, 4], trials=4)
+    rho90, flags = fit_90pct_curve(grid)
+    assert (float(rho90[0]), flags[0]) == (0.5, "clamped")
 
 
 def test_fit_all_failure_clamped_low():

@@ -276,6 +276,8 @@ def test_partial_fft_haar_validation():
 def test_dense_operator_requires_unit_columns():
     with pytest.raises(ValueError):
         dense_operator(np.array([[3.0], [4.0]]))
+    with pytest.raises(ValueError, match="dimensions"):
+        dense_operator(np.zeros((0, 3)))
 
 
 def test_operator_matrix_readonly():

@@ -106,6 +106,12 @@ def test_bic_zero_residual_floored():
     assert np.isfinite(out)
 
 
+@pytest.mark.parametrize("residual_sq, n", [(-1.0, 10), (1.0, 0)], ids=["negative-rss", "n-0"])
+def test_bic_refuses_negative_rss_and_no_samples(residual_sq, n):
+    with pytest.raises(ValueError):
+        bic_score(np.ones(3), residual_sq, n)
+
+
 def test_bic_oversized_support_infinite():
     x = np.ones(8)
     assert bic_score(x, 1.0, 4) == np.inf
@@ -131,6 +137,11 @@ def test_select_single_entry():
     assert lam == 0.5
     assert len(scores) == 1
     np.testing.assert_array_equal(x, [0.0, 0.0])
+
+
+def test_select_empty_path_refused():
+    with pytest.raises(ValueError, match="empty path"):
+        select_bic(_path_from([], [], np.array([1.0, 2.0])), np.array([1.0, 2.0]))
 
 
 def test_select_dominant_entry_wins():

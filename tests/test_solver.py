@@ -401,6 +401,8 @@ def test_config_validation():
         SolverConfig(penalty=Penalty.L1, gamma=0.5, lambda0=0.05, lambda_star=0.1)
     with pytest.raises(ValueError, match="'path'"):
         SolverConfig(penalty=Penalty.L1, lambda_star="auto")
+    with pytest.raises(ValueError, match="path length"):
+        SolverConfig(penalty=Penalty.L1, path_len_N=-1)
 
 
 @pytest.mark.parametrize("field", ["lambda0", "lambda_star"])
@@ -424,12 +426,18 @@ def test_config_accepts_numpy_integers():
     assert (cfg.kmax, cfg.path_len_N) == (3, 7)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e200])
 def test_non_finite_data_rejected(bad):
     op, y = _small_instance()
     y[3] = bad
     with pytest.raises(ValueError):
         continuation_solve(op, y, SolverConfig(penalty=Penalty.L1, path_len_N=5))
+
+
+def test_data_of_wrong_length_rejected():
+    op, y = _small_instance()
+    with pytest.raises(ValueError, match="length"):
+        continuation_solve(op, y[:-1], SolverConfig(penalty=Penalty.L1, path_len_N=5))
 
 
 def test_config_json_round_trip():
@@ -567,9 +575,21 @@ def test_error_bound_zero_coherence():
         theoretical_error_bound(flat, Penalty.L1)
 
 
+def test_error_bound_needs_a_cut_of_at_least_one():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        theoretical_error_bound(TheoryParams(mu=0.25, s=1, c=0.5, epsilon=0.01), Penalty.L1)
+
+
 def test_theory_params_assumption_enforced():
-    with pytest.raises(ValueError):
-        TheoryParams(mu=0.3, s=2, c=4.0, epsilon=0.01).validate(Penalty.L1)
+    """Building the params checks the coherence regime, before any penalty."""
+    with pytest.raises(ValueError, match="mu\\*s < 1/2"):
+        TheoryParams(mu=0.3, s=2, c=4.0, epsilon=0.01)
+    with pytest.raises(ValueError, match="coherence"):
+        TheoryParams(mu=-0.1, s=1, c=4.0, epsilon=0.01)
+    with pytest.raises(ValueError, match="sparsity"):
+        TheoryParams(mu=0.1, s=0, c=4.0, epsilon=0.01)
+    with pytest.raises(ValueError, match="noise norm"):
+        TheoryParams(mu=0.1, s=1, c=4.0, epsilon=-0.01)
 
 
 def test_path_result_csv(tmp_path):

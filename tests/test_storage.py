@@ -41,6 +41,11 @@ def test_header_layout(tmp_path):
     assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
+def test_three_dimensional_array_rejected(tmp_path):
+    with pytest.raises(ValueError, match="ndim=3"):
+        write_array(tmp_path / "a.bin", np.zeros((2, 2, 2)))
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + bytes(12) + np.zeros(1).tobytes())
