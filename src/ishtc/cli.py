@@ -48,6 +48,9 @@ ENV_OUTDIR = "ISHTC_OUTDIR"
 #: Default of a parameter that must come from a flag or the config file.
 REQUIRED = object()
 
+#: BLAS thread variables that a manifest records as found.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class Opt(NamedTuple):
     """One parameter: config key and argparse dest, flag, argparse type
@@ -122,6 +125,20 @@ def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict:
     return resolved
 
 
+def _host() -> dict:
+    """What produced a run's numbers: the CPU count, the numpy version, its
+    BLAS build (empty on a numpy without ``show_config(mode="dicts")``) and
+    the BLAS thread variables, None where unset. The last bits of a dense
+    product can depend on all of these."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    build = {k: v for k, v in blas.items() if k in ("name", "version", "openblas configuration")}
+    return {"nproc": os.cpu_count(), "numpy": np.__version__, "blas": build,
+            "threads_env": {k: os.environ.get(k) for k in THREAD_VARS}}
+
+
 def _finish(args: argparse.Namespace, t0: float, command: str, params: dict, outputs: dict,
             record: dict, summary: dict) -> int:
     """Write the outputs, then ``manifest.json``, then the stdout summary.
@@ -135,7 +152,7 @@ def _finish(args: argparse.Namespace, t0: float, command: str, params: dict, out
         write(out / name)
     write_manifest(out / "manifest.json", {
         "command": command, "params": params, "outputs": list(outputs),
-        "wall_time_s": elapsed, "version": __version__, **record,
+        "wall_time_s": elapsed, "version": __version__, "host": _host(), **record,
     })
     print(json.dumps({"command": command, "out": str(out), **summary}, sort_keys=True))
     return EXIT_OK

@@ -5,8 +5,10 @@ reconstruction study.
 The sweep, the grid and the table run one trial, ``_trial``: draw a seeded
 instance with ``gen_problem``, run the full path, pick a level by extended
 BIC and score the pick. It returns (metrics, matvec count, solve seconds),
-or None when the solve diverged. Each driver lists its draws, maps them
-through one ``_run_ordered`` call and reduces the records.
+or None when the solve diverged. Each of the three lists its draws and
+hands them to one ``_run_trials`` call, which checks every draw with
+``check_problem_args`` before the first trial and then maps them through
+``_run_ordered``; the caller reduces the records.
 
 Every driver is a pure function of its spec and base seed. Replication
 seeds are derived from the base seed with stable integer keys, tasks are
@@ -32,7 +34,7 @@ import numpy as np
 from .linop import haar_inverse
 from .metrics import Metrics, reconstruction_metrics, psnr
 from .modelselect import run_full_path, select_bic
-from .probgen import gen_problem
+from .probgen import check_problem_args, gen_problem
 from .solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError
 from .storage import write_csv
 from .thresholding import Penalty
@@ -62,6 +64,16 @@ def _run_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _run_trials(draws: Sequence[dict], workers: int, penalty: Penalty, gamma: float, kmax: int,
+                path_len: int) -> list:
+    """``_trial`` records of ``draws``, in order. Every draw is checked
+    first, so a grid refuses a bad value before its first trial runs."""
+    for draw in draws:
+        check_problem_args(**draw)
+    trial = partial(_trial, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
+    return _run_ordered(trial, draws, workers)
 
 
 def _trial(
@@ -134,8 +146,7 @@ def support_probability_sweep(
         for value in spec.values
         for rep in range(spec.replications)
     ]
-    trial = partial(_trial, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
-    records = _run_ordered(trial, draws, workers)
+    records = _run_trials(draws, workers, penalty, gamma, kmax, path_len)
     wins = [r is not None and r[0].exact_support for r in records]
     per_value = np.reshape(wins, (len(spec.values), spec.replications)).sum(axis=1)
     return [(float(value), int(w) / spec.replications) for value, w in zip(spec.values, per_value)]
@@ -220,8 +231,7 @@ def phase_transition_grid(
         n, s = grid.cell_dims(i, j)
         draws.append(dict(matrix_kind="gaussian", n=n, p=p, s=s, dr=1.0, sigma=sigma,
                           seed=_task_seed(base_seed, i, j, t)))
-    trial = partial(_trial, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
-    records = _run_ordered(trial, draws, workers)
+    records = _run_trials(draws, workers, penalty, gamma, kmax, path_len)
     wins = [r is not None and r[0].rel_l2 <= success_threshold for r in records]
     grid.successes[...] = np.reshape(wins, (*grid.successes.shape, trials)).sum(axis=2)
     return grid
@@ -362,8 +372,7 @@ def benchmark_table(
         for si, (p, n, s) in enumerate(dims)
         for rep in range(replications)
     ]
-    trial = partial(_trial, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
-    records = _run_ordered(trial, draws, workers)
+    records = _run_trials(draws, workers, penalty, gamma, kmax, path_len)
     rows: List[dict] = []
     for si, (p, n, s) in enumerate(dims):
         done = [r for r in records[si * replications : (si + 1) * replications] if r is not None]

@@ -67,8 +67,7 @@ def gen_correlated_gaussian(n: int, p: int, nu: float, seed: SeedLike) -> Sensin
     at ``2*nu/(1+nu^2)``; larger ``nu`` gives larger coherence. ``nu=0``
     leaves i.i.d. standard normal columns: the ``gaussian`` kind.
     """
-    if not 0 <= nu < math.inf:  # also rejects NaN
-        raise ValueError(f"mixing weight must be finite and >= 0, got {nu}")
+    _check_mixing_weight(nu)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, p))
     if nu == 0:
@@ -92,10 +91,7 @@ def gen_sparse_signal(p: int, s: int, dr: float, seed: SeedLike) -> np.ndarray:
     to 1 and ``dr`` so the realized max/min ratio is exact; signs are ±1
     equiprobable. ``s=1`` gives a single unit-magnitude entry.
     """
-    if not 1 <= s <= p:
-        raise ValueError(f"sparsity must satisfy 1 <= s <= {p}, got {s}")
-    if not 1 <= dr < math.inf:  # also rejects NaN
-        raise ValueError(f"dynamic range must be finite and >= 1, got {dr}")
+    _check_signal(p, s, dr)
     rng = np.random.default_rng(seed)
     support = rng.choice(p, size=s, replace=False)
     if s == 1:
@@ -133,23 +129,14 @@ def gen_problem(
     ``levels`` only by ``fft-haar``, whose signal is sparse in the
     coefficient domain the operator expects.
     """
-    if not 0 <= sigma < math.inf:  # also rejects NaN
-        raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
-    if nu is not None and not math.isfinite(nu):
-        raise ValueError(f"mixing weight must be finite, got {nu}")
+    check_problem_args(matrix_kind, n, p, s, dr, sigma, nu)
     mat_ss = _substream(seed, _MATRIX_STREAM)
-    if matrix_kind == "gaussian":
-        op = gen_correlated_gaussian(n, p, 0.0, mat_ss)
-    elif matrix_kind == "bernoulli":
+    if matrix_kind == "bernoulli":
         op = gen_bernoulli_matrix(n, p, mat_ss)
-    elif matrix_kind == "correlated":
-        if nu is None:
-            raise ValueError("the correlated kind needs a mixing weight nu")
-        op = gen_correlated_gaussian(n, p, nu, mat_ss)
     elif matrix_kind == "fft-haar":
         op = make_partial_fft_haar(p, n, levels, seed=int(mat_ss.generate_state(1)[0]))
     else:
-        raise ValueError(f"unknown matrix kind {matrix_kind!r}; expected one of {MATRIX_KINDS}")
+        op = gen_correlated_gaussian(n, p, nu if matrix_kind == "correlated" else 0.0, mat_ss)
 
     x_true = gen_sparse_signal(p, s, dr, _substream(seed, _SIGNAL_STREAM))
     noise = sigma * np.random.default_rng(_substream(seed, _NOISE_STREAM)).standard_normal(n)
@@ -166,6 +153,48 @@ def gen_problem(
         "seed": seed,
     }
     return Problem(op=op, x_true=x_true, y=y, epsilon=float(np.linalg.norm(noise)), meta=meta)
+
+
+def check_problem_args(
+    matrix_kind: str,
+    n: int,
+    p: int,
+    s: int,
+    dr: float,
+    sigma: float,
+    nu: Optional[float] = None,
+    seed: int = 0,
+    levels: int = 2,
+) -> None:
+    """Raise the ValueError :func:`gen_problem` raises for these arguments'
+    noise level, mixing weight, matrix kind, sparsity or dynamic range, in
+    that order, without drawing anything. It takes ``gen_problem``'s
+    arguments, so a list of draws can be checked before the first is
+    generated; ``seed`` and ``levels`` are not checked here, and the
+    operator constructors still check the sizes they are given."""
+    if not 0 <= sigma < math.inf:  # also rejects NaN
+        raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
+    if nu is not None and not math.isfinite(nu):
+        raise ValueError(f"mixing weight must be finite, got {nu}")
+    if matrix_kind not in MATRIX_KINDS:
+        raise ValueError(f"unknown matrix kind {matrix_kind!r}; expected one of {MATRIX_KINDS}")
+    if matrix_kind == "correlated":
+        if nu is None:
+            raise ValueError("the correlated kind needs a mixing weight nu")
+        _check_mixing_weight(nu)
+    _check_signal(p, s, dr)
+
+
+def _check_mixing_weight(nu: float) -> None:
+    if not 0 <= nu < math.inf:  # also rejects NaN
+        raise ValueError(f"mixing weight must be finite and >= 0, got {nu}")
+
+
+def _check_signal(p: int, s: int, dr: float) -> None:
+    if not 1 <= s <= p:
+        raise ValueError(f"sparsity must satisfy 1 <= s <= {p}, got {s}")
+    if not 1 <= dr < math.inf:  # also rejects NaN
+        raise ValueError(f"dynamic range must be finite and >= 1, got {dr}")
 
 
 def save_problem(problem: Problem, out_dir: Union[str, Path]) -> Path:

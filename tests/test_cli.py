@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shutil
 import struct
 
@@ -573,11 +574,26 @@ PHASE = ["phase", "--p", "8", "--trials", "1", "--path-len", "5"]
     (["gen", "--kind", "correlated", "--n", "4", "--p", "8", "--s", "1", "--nu=-1"], None,
      EXIT_SCHEMA, "mixing weight"),
     ([*PHASE, "--grid", "0"], None, EXIT_SCHEMA, "grid is empty"),
+    # A bad later grid value is refused before the earlier values' trials.
+    ([*SWEEP, "--varied", "sigma", "--values", "0.01,nan"], None, EXIT_SCHEMA,
+     "noise level must be finite and >= 0"),
+    ([*SWEEP, "--varied", "sigma", "--values", "0.01,-1"], None, EXIT_SCHEMA,
+     "noise level must be finite and >= 0"),
+    ([*SWEEP, "--varied", "s", "--values", "1,9"], None, EXIT_SCHEMA,
+     "sparsity must satisfy 1 <= s <= 8, got 9"),
+    ([*SWEEP, "--varied", "s", "--values", "1,0"], None, EXIT_SCHEMA,
+     "sparsity must satisfy 1 <= s <= 8, got 0"),
+    ([*SWEEP, "--varied", "nu", "--values", "0.5,-0.5", "--matrix-kind", "correlated"], None,
+     EXIT_SCHEMA, "mixing weight must be finite and >= 0"),
+    ([*SWEEP, "--varied", "nu", "--values", "0.5,inf", "--matrix-kind", "correlated"], None,
+     EXIT_SCHEMA, "mixing weight must be finite"),
 ], ids=["sweep-s-2.6,2.4", "sweep-s-inf", "sweep-s--inf", "sweep-s-nan",
         "sweep-correlated-without-nu", "sweep-nu-on-gaussian", "phase-grid-and-delta-grid",
         "phase-grid-and-both-grids", "bench-correlated", "gen-without-kind", "missing-config",
         "config-list", "config-penalty-l2", "config-lambda-star-soon", "gen-nu-negative",
-        "phase-grid-0"])
+        "phase-grid-0", "sweep-sigma-nan-later", "sweep-sigma-negative-later",
+        "sweep-s-above-p-later", "sweep-s-0-later", "sweep-nu-negative-later",
+        "sweep-nu-inf-later"])
 def test_refusals_print_one_json_record(argv, config, code, fragment, tmp_path, capsys,
                                         monkeypatch):
     """Exit 2 or 3 with one JSON record naming the rule, before any trial and
@@ -643,6 +659,27 @@ def test_fft_haar_gen_and_path_rerun_byte_identical(tmp_path):
     loaded = load_problem(prob_dir)
     assert loaded.op.col_scale.tobytes() == built.op.col_scale.tobytes()
     np.testing.assert_array_equal(loaded.op.rows, built.op.rows)
+
+
+def test_manifest_records_the_host(tmp_path, monkeypatch):
+    """The path manifest names the CPU count, numpy and BLAS build and the
+    thread variables as found; a numpy without ``show_config(mode="dicts")``
+    records an empty BLAS entry."""
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert main(["path", "--problem", str(prob_dir), "--penalty", "l1",
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    host = json.loads((tmp_path / "run" / "manifest.json").read_text())["host"]
+    assert host["nproc"] == os.cpu_count()
+    assert host["numpy"] == np.__version__
+    assert host["threads_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert host["threads_env"]["OMP_NUM_THREADS"] is None
+    monkeypatch.setattr(np, "show_config", lambda: None)  # numpy 1.24's signature
+    assert main(["path", "--problem", str(prob_dir), "--penalty", "l1",
+                 "--out", str(tmp_path / "old")]) == EXIT_OK
+    assert json.loads((tmp_path / "old" / "manifest.json").read_text())["host"]["blas"] == {}
 
 
 def test_solve_rejects_infinite_lambda0(tmp_path, capsys):

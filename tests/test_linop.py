@@ -1,11 +1,14 @@
+import functools
 import itertools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ishtc.linop import (
     COHERENCE_BUDGET_P,
+    RESTRICTED_MIN_SIZE,
     SensingOperator,
     _column_energy,
     dense_operator,
@@ -56,6 +59,72 @@ def test_dimension_mismatch_errors():
         op.apply(np.zeros(5))
     with pytest.raises(ValueError):
         op.apply_adjoint(np.zeros(9))
+
+
+#: Dense sizes on both sides of the restricted-product size rule.
+RULE_SIZES = [(40, 80), (127, 512), (128, 512), (200, 1000)]
+
+
+@functools.lru_cache(maxsize=None)
+def _rule_operator(n, p):
+    return _random_unit_columns(n, p, seed=n + p)
+
+
+def _sparse_signal(p, k, seed):
+    """k nonzeros at random places, magnitudes over six decades."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(p)
+    x[rng.choice(p, size=k, replace=False)] = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.sampled_from(RULE_SIZES), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(size=(200, 1000), frac=0.0, seed=0)
+@example(size=(200, 1000), frac=0.124, seed=1)
+@example(size=(200, 1000), frac=0.125, seed=2)
+@example(size=(200, 1000), frac=1.0, seed=3)
+@example(size=(40, 80), frac=0.0, seed=4)
+@example(size=(40, 80), frac=1.0, seed=5)
+def test_dense_apply_agrees_with_the_full_product(size, frac, seed):
+    """Whichever route it takes, dense apply is ``matrix @ x`` to 1e-12 of
+    ``|matrix| @ |x|``, the scale of the summation error; zero gives zero."""
+    n, p = size
+    op = _rule_operator(n, p)
+    x = _sparse_signal(p, round(frac * p), seed)
+    err = np.abs(op.apply(x) - op.matrix @ x)
+    assert np.all(err <= 1e-12 * (np.abs(op.matrix) @ np.abs(x)))
+
+
+def test_dense_apply_restricts_small_supports_of_large_operators():
+    """At 200x1000 a support below p/8 takes ``matrix[:, S] @ x[S]`` bit for
+    bit, and a larger one the full product."""
+    op = _rule_operator(200, 1000)
+    assert op.n * op.p >= RESTRICTED_MIN_SIZE
+    for k in (0, 1, 5, 40, 124):
+        x = _sparse_signal(op.p, k, seed=k)
+        support = np.flatnonzero(x)
+        assert op.apply(x).tobytes() == (op.matrix[:, support] @ x[support]).tobytes()
+    for k in (125, 500, 1000):
+        x = _sparse_signal(op.p, k, seed=k)
+        assert op.apply(x).tobytes() == (op.matrix @ x).tobytes()
+
+
+def test_dimension_mismatch_errors_above_the_size_rule():
+    op = _rule_operator(200, 1000)
+    for bad in (np.zeros(200), np.zeros(1001), np.zeros((1000, 1))):
+        with pytest.raises(ValueError):
+            op.apply(bad)
+    with pytest.raises(ValueError):
+        op.apply_adjoint(np.zeros(1000))
+
+
+def test_dense_apply_is_the_full_product_on_small_operators():
+    op = _rule_operator(40, 80)
+    assert op.n * op.p < RESTRICTED_MIN_SIZE
+    for k in (0, 1, 5, 80):
+        x = _sparse_signal(op.p, k, seed=k)
+        assert op.apply(x).tobytes() == (op.matrix @ x).tobytes()
 
 
 @pytest.mark.parametrize(
