@@ -12,6 +12,7 @@ divergence. Errors print one JSON record to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -195,7 +196,7 @@ def cmd_solve(params: dict, args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     x_star, path = continuation_solve(problem.op, problem.y, config)
     outputs = {"x_star.bin": partial(write_array, arr=x_star), "path.csv": path.to_csv}
-    record = {"solver_config": config.to_json_dict(), "n_matvec": path.n_matvec,
+    record = {"solver_config": dataclasses.asdict(config), "n_matvec": path.n_matvec,
               "path_levels": len(path), "stop_reason": path.stop_reason}
     summary = {"n_matvec": path.n_matvec, "support_size": int(np.count_nonzero(x_star))}
     return _finish(args, t0, "solve", params, outputs, record, summary)

@@ -237,13 +237,11 @@ def phase_transition_grid(
     return grid
 
 
-def _irls_logistic(
-    x: np.ndarray, wins: np.ndarray, trials: int, max_iter: int = 100
-) -> Optional[Tuple[float, float]]:
-    """Fit P(win) = sigmoid(a + b*x) to binomial counts; None if no fit."""
+def _irls_logistic(x: np.ndarray, wins: np.ndarray, trials: int) -> Optional[Tuple[float, float]]:
+    """Fit P(win) = sigmoid(a + b*x) to binomial counts; None if 100 steps find no fit."""
     design = np.column_stack([np.ones_like(x), x])
     beta = np.zeros(2)
-    for _ in range(max_iter):
+    for _ in range(100):
         eta = design @ beta
         pr = np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-9, 1.0 - 1e-9)
         w = trials * pr * (1.0 - pr)

@@ -195,7 +195,8 @@ class CoherenceReport:
 
 
 def dense_operator(matrix: np.ndarray) -> SensingOperator:
-    """Wrap an already column-normalized matrix as a dense operator."""
+    """Wrap a matrix read from a file as a dense operator, after checking that
+    its columns have unit norm (generated ones come from normalize_columns)."""
     matrix = np.asfortranarray(matrix, dtype=np.float64)
     n, p = matrix.shape
     if n < 1 or p < 1:
@@ -211,17 +212,16 @@ def dense_operator(matrix: np.ndarray) -> SensingOperator:
 
 
 def normalize_columns(raw: np.ndarray) -> tuple[SensingOperator, np.ndarray]:
-    """Scale every column of ``raw`` to unit Euclidean norm.
-
-    Returns the normalized operator and the original column norms, so a
-    solution in normalized coordinates can be mapped back.
-    """
+    """Build a generated matrix's operator: copy ``raw`` once into a read-only
+    column-major buffer divided in place by ``raw``'s column norms, which are
+    returned too, to map solutions back. ``raw`` itself is not changed."""
     raw = np.asarray(raw, dtype=np.float64)
     scales = np.linalg.norm(raw, axis=0)
     zero = np.flatnonzero(scales == 0.0)
     if zero.size:
         raise ValueError(f"column {int(zero[0])} is the zero vector")
-    mat = np.asfortranarray(raw / scales)
+    mat = np.array(raw, order="F")
+    mat /= scales
     mat.setflags(write=False)
     n, p = mat.shape
     return SensingOperator(n=n, p=p, kind="dense", matrix=mat), scales

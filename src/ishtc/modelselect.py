@@ -39,6 +39,10 @@ from .thresholding import Penalty
 #: Residual floor so a perfect fit scores finitely instead of log(0).
 RSS_FLOOR = 1e-300
 
+#: Scores within this fraction of the best one's magnitude (at least 1) count
+#: as tied, so roundoff on a converged plateau does not decide the pick.
+BIC_TIE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BicScore:
@@ -86,8 +90,9 @@ def bic_score(x: np.ndarray, residual_sq: float, n: int) -> float:
 def select_bic(path: PathResult, y: np.ndarray) -> Tuple[float, np.ndarray, List[BicScore]]:
     """Score every path entry and return the minimizer.
 
-    Ties break toward the larger level (the sparser side), independent of
-    path ordering. Residuals come from the path's per-level diagnostics.
+    Scores within ``BIC_TIE_RTOL * max(1, |best|)`` of the best tie, and the
+    largest level among them (the sparser side) wins, independent of path
+    ordering. Residuals come from the path's per-level diagnostics.
     """
     if len(path) == 0:
         raise ValueError("empty path")
@@ -97,7 +102,9 @@ def select_bic(path: PathResult, y: np.ndarray) -> Tuple[float, np.ndarray, List
         residual_sq = float(rnorm) ** 2
         scores.append(BicScore(float(lam), bic_score(x, residual_sq, n),
                                int(np.count_nonzero(x)), residual_sq))
-    best = min(range(len(scores)), key=lambda i: (scores[i].score, -scores[i].lam))
+    top = min(r.score for r in scores)
+    cutoff = top + BIC_TIE_RTOL * max(1.0, abs(top))
+    best = max((i for i, r in enumerate(scores) if r.score <= cutoff), key=lambda i: scores[i].lam)
     return scores[best].lam, path.solutions[best].copy(), scores
 
 

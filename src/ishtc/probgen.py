@@ -4,6 +4,9 @@ Every generator is a pure function of its parameters and seed. A problem's
 master seed is split into independent matrix/signal/noise streams, so e.g.
 changing only ``sigma`` regenerates the same matrix and signal with the same
 noise direction at a different scale.
+
+Every dense kind is drawn once, mixed in place if it needs mixing, and
+normalized once by ``linop.normalize_columns`` into its final buffer.
 """
 
 from __future__ import annotations
@@ -56,31 +59,25 @@ def gen_bernoulli_matrix(n: int, p: int, seed: SeedLike) -> SensingOperator:
     """Equiprobable ±1 entries; normalization makes every entry ±1/sqrt(n)."""
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(n, p)).astype(np.float64) * 2.0 - 1.0
-    return dense_operator(signs / math.sqrt(n))
+    return normalize_columns(signs)[0]
 
 
 def gen_correlated_gaussian(n: int, p: int, nu: float, seed: SeedLike) -> SensingOperator:
-    """Gaussian columns mixed in adjacent pairs to raise coherence.
+    """Gaussian columns mixed in adjacent pairs, in place, to raise coherence.
 
     Columns 2i and 2i+1 become ``z_{2i} + nu*z_{2i+1}`` and
     ``nu*z_{2i} + z_{2i+1}``, so their normalized inner product concentrates
-    at ``2*nu/(1+nu^2)``; larger ``nu`` gives larger coherence. ``nu=0``
-    leaves i.i.d. standard normal columns: the ``gaussian`` kind.
+    at ``2*nu/(1+nu^2)``; larger ``nu`` gives larger coherence. With odd
+    ``p`` the last column stays unmixed. ``nu=0`` leaves i.i.d. standard
+    normal columns: the ``gaussian`` kind.
     """
     _check_mixing_weight(nu)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, p))
-    if nu == 0:
-        raw = z
-    else:
-        raw = z.copy()
-        pairs = p // 2
-        a = z[:, 0 : 2 * pairs : 2]
-        b = z[:, 1 : 2 * pairs : 2]
-        raw[:, 0 : 2 * pairs : 2] = a + nu * b
-        raw[:, 1 : 2 * pairs : 2] = nu * a + b
-    op, _ = normalize_columns(raw)
-    return op
+    if nu != 0:
+        a, b = z[:, 0 : p - 1 : 2], z[:, 1::2]
+        a[...], b[...] = a + nu * b, nu * a + b
+    return normalize_columns(z)[0]
 
 
 def gen_sparse_signal(p: int, s: int, dr: float, seed: SeedLike) -> np.ndarray:

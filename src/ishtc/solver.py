@@ -14,7 +14,6 @@ at smaller penalties, have been seen to stay saturated.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -101,9 +100,6 @@ class SolverConfig:
             raise ValueError(
                 f"lambda0 ({self.lambda0}) must exceed lambda_star ({self.lambda_star})"
             )
-
-    def to_json_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "penalty": self.penalty.value}
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,18 @@ def test_normalize_columns_random_norms():
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("order,writeable", [("C", True), ("F", True), ("F", False)])
+def test_normalize_columns_leaves_its_input_unchanged(order, writeable):
+    raw = np.array(np.random.default_rng(10).standard_normal((6, 9)), order=order)
+    raw.setflags(write=writeable)
+    before = raw.copy(order="A")
+    op, _ = normalize_columns(raw)
+    np.testing.assert_array_equal(raw, before)
+    assert raw.flags.writeable == writeable
+    assert not np.shares_memory(op.matrix, raw)
+    assert op.matrix.flags.f_contiguous and not op.matrix.flags.writeable
+
+
 def test_normalize_zero_column_error_names_index():
     raw = np.ones((4, 3))
     raw[:, 2] = 0.0

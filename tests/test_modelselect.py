@@ -1,8 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from ishtc.linop import normalize_columns
-from ishtc.modelselect import BicScore, bic_score, run_full_path, scores_to_csv, select_bic
+from ishtc.modelselect import (
+    BIC_TIE_RTOL,
+    BicScore,
+    bic_score,
+    run_full_path,
+    scores_to_csv,
+    select_bic,
+)
 from ishtc.probgen import gen_problem
 from ishtc.solver import DivergenceError, PathResult, SolverConfig, continuation_solve
 from ishtc.thresholding import Penalty
@@ -162,6 +172,48 @@ def test_select_tie_breaks_toward_larger_lambda():
     assert lam == 1.0
 
 
+def _path_with_residuals(lams, residual_norms, n=4, p=4):
+    """One-entry supports whose scores differ only through the residuals."""
+    sols = [np.eye(p)[0] for _ in lams]
+    return PathResult(
+        lambdas=np.asarray(lams, dtype=float),
+        solutions=sols,
+        residual_norms=np.asarray(residual_norms, dtype=float),
+        objective_values=np.zeros(len(sols)),
+        matvec_cumulative=np.zeros(len(sols), dtype=int),
+        stop_reason="path_len",
+    ), np.ones(n)
+
+
+@pytest.mark.parametrize("rel_gap, picked", [(1e-13, 1.0), (1e-8, 0.5)],
+                         ids=["within-tolerance", "beyond-tolerance"])
+def test_select_tolerance_ties_pick_the_larger_lambda(rel_gap, picked):
+    """A score worse by roundoff (about 1e-13 relative here) at the larger
+    level ties and wins; one better by more than the tolerance still wins.
+    Both hold in either path order."""
+    path, y = _path_with_residuals([1.0, 0.5], [0.1 * (1 + rel_gap), 0.1])
+    scores = select_bic(path, y)[2]
+    gap = (scores[0].score - scores[1].score) / abs(scores[1].score)
+    assert gap > 0 and (gap < BIC_TIE_RTOL) == (picked == 1.0)
+    assert select_bic(path, y)[0] == picked
+    assert select_bic(_reversed(path), y)[0] == picked
+
+
+def test_select_pick_survives_a_roundoff_perturbation_of_the_operator():
+    """On acceptance criterion 8's problem many converged levels score within
+    about 1e-10 relative of each other; a 1.2e-15 relative change of the
+    column scales keeps the picked level."""
+    prob = gen_problem("fft-haar", n=665, p=1024, s=247, dr=100.0, sigma=1e-4, seed=0, levels=2)
+    picks = []
+    for factor in (1.0, 1.0 + 1.2e-15):
+        op = dataclasses.replace(prob.op, col_scale=prob.op.col_scale * factor)
+        path = run_full_path(op, prob.y, Penalty.L0)
+        lam, _, _ = select_bic(path, prob.y)
+        picks.append((list(path.lambdas).index(lam), lam))
+    assert picks[0][0] == picks[1][0]
+    assert picks[1][1] == pytest.approx(picks[0][1], rel=1e-12)
+
+
 def _reversed(path):
     return PathResult(
         lambdas=path.lambdas[::-1],
@@ -183,19 +235,22 @@ def test_select_invariant_under_reordering():
 
 
 def _loop_select(path, y):
-    """Reference selection: an explicit scan that keeps the first strict
-    minimum and moves to an equal score only at a larger level."""
+    """Reference selection: one scan finds the lowest score, a second keeps
+    the largest level whose score is within the tie tolerance of it."""
     n = int(np.asarray(y).shape[0])
     scores = []
-    best = -1
+    low = math.inf
     for i in range(len(path)):
         residual_sq = float(path.residual_norms[i]) ** 2
         s = bic_score(path.solutions[i], residual_sq, n)
         scores.append(BicScore(lam=float(path.lambdas[i]), score=s,
                                support_size=int(np.count_nonzero(path.solutions[i])),
                                residual_sq=residual_sq))
-        if best < 0 or s < scores[best].score or (
-            s == scores[best].score and scores[i].lam > scores[best].lam
+        low = min(low, s)
+    best = -1
+    for i, r in enumerate(scores):
+        if r.score - low <= BIC_TIE_RTOL * max(1.0, abs(low)) and (
+            best < 0 or r.lam > scores[best].lam
         ):
             best = i
     return scores[best].lam, path.solutions[best].copy(), scores

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,57 @@ def test_matrix_determinism(make):
     b = make(123)
     np.testing.assert_array_equal(a.matrix, b.matrix)
     assert not np.array_equal(a.matrix, make(124).matrix)
+
+
+def _two_step_matrix(kind, n, p, nu, seed):
+    """Oracle: the earlier construction, with a hand-scaled Bernoulli draw and
+    a mixed copy of the Gaussian draw divided by its norms, then reordered."""
+    rng = np.random.default_rng(seed)
+    if kind == "bernoulli":
+        signs = rng.integers(0, 2, size=(n, p)).astype(np.float64) * 2.0 - 1.0
+        return np.asfortranarray(signs / math.sqrt(n))
+    z = rng.standard_normal((n, p))
+    raw = z.copy()
+    pairs = p // 2
+    a, b = z[:, 0 : 2 * pairs : 2], z[:, 1 : 2 * pairs : 2]
+    raw[:, 0 : 2 * pairs : 2] = a + nu * b
+    raw[:, 1 : 2 * pairs : 2] = nu * a + b
+    return np.asfortranarray(raw / np.linalg.norm(raw, axis=0))
+
+
+DENSE_KINDS = [("gaussian", 0.0), ("bernoulli", None), ("correlated", 0.5),
+               ("correlated", 2.0)]
+
+
+@pytest.mark.parametrize("n,p", [(5, 1), (7, 13), (200, 1000)])
+@pytest.mark.parametrize("kind,nu", DENSE_KINDS, ids=["gaussian", "bernoulli", "nu0.5", "nu2"])
+def test_dense_matrix_bits_match_the_two_step_construction(kind, nu, n, p):
+    """Every dense kind (the gaussian kind is nu=0) is drawn once and
+    normalized straight into a read-only column-major buffer, with the bits
+    of the two-step construction."""
+    seed = np.random.SeedSequence(entropy=3, spawn_key=(0,))
+    if kind == "bernoulli":
+        op = gen_bernoulli_matrix(n, p, seed)
+    else:
+        op = gen_correlated_gaussian(n, p, nu, seed)
+    expected = _two_step_matrix(kind, n, p, nu, seed)
+    assert op.matrix.tobytes(order="A") == expected.tobytes(order="A")
+    assert op.matrix.flags.f_contiguous and not op.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("kind,nu", DENSE_KINDS, ids=["gaussian", "bernoulli", "nu0.5", "nu2"])
+def test_gen_problem_allocation_peak_stays_near_two_matrices(kind, nu):
+    """The draw and its one normalized copy are the only full-size buffers
+    alive at once: no mixing copy, no divided temporary, no reordering copy."""
+    args = dict(matrix_kind=kind, n=200, p=1000, s=5, dr=10.0, sigma=0.01, nu=nu, seed=1)
+    gen_problem(**args)
+    tracemalloc.start()
+    try:
+        prob = gen_problem(**args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * prob.op.matrix.nbytes
 
 
 def test_matrix_columns_unit_norm():

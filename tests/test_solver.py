@@ -445,10 +445,9 @@ def test_config_json_round_trip():
         penalty=Penalty.L0, lambda0=3.0, gamma=0.85, kmax=7,
         lambda_star=0.01, path_len_N=50,
     )
-    blob = json.dumps(cfg.to_json_dict())
-    assert set(json.loads(blob)) == {
-        "penalty", "lambda0", "gamma", "kmax", "lambda_star", "path_len_N"
-    }
+    blob = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert set(blob) == {"penalty", "lambda0", "gamma", "kmax", "lambda_star", "path_len_N"}
+    assert blob["penalty"] == "l0"
 
 
 # ---------------------------------------------------------------------------
