@@ -72,11 +72,24 @@ def _parse_level(text: str) -> Union[str, float]:
         raise ValueError(f"expected a number, 'auto', or 'path', got {text!r}") from None
 
 
-def _csv(value: Any, conv: Callable) -> list:
-    """Items of a comma-separated flag value or of a config-file list."""
+def _convert(key: str, value: Any, conv: Callable) -> Any:
+    """Convert a config-file value or list item by ``conv``, refusing a bool
+    and, for ``int``, a non-integral number that ``int`` would truncate."""
+    integral = not isinstance(value, float) or value.is_integer()
+    if isinstance(value, bool) or conv is int and not integral:
+        raise ValueError(f"{key} must be {'an integer' if conv is int else 'a number'}, "
+                         f"got {value!r}")
+    return conv(value)
+
+
+def _csv(params: dict, key: str, conv: Callable) -> list:
+    """Items of a comma-separated flag value, or of a config-file list."""
+    value = params[key]
     if isinstance(value, str):
-        value = [tok for tok in value.split(",") if tok.strip()]
-    return [conv(v) for v in value]
+        return [conv(tok) for tok in value.split(",") if tok.strip()]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list or a comma-separated string, got {value!r}")
+    return [_convert(key, v, conv) for v in value]
 
 
 def _pick(params: dict, *keys: str) -> dict:
@@ -93,7 +106,7 @@ def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict:
     """Merge flag values over config-file values over row defaults.
 
     Flags left at None fall through. A config-file value is checked against
-    the row's choices and converted by its type, as argparse does a flag's.
+    the row's choices and converted by its type through :func:`_convert`.
     """
     file_cfg = {}
     if args.config:
@@ -113,11 +126,8 @@ def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict:
             value = file_cfg[o.key]
             if o.choices and value not in o.choices:
                 raise ValueError(f"{o.key} must be one of {o.choices}, got {value!r}")
-            if o.type is int and (isinstance(value, bool)
-                                  or isinstance(value, float) and not value.is_integer()):
-                raise ValueError(f"{o.key} must be an integer, got {value!r}")
             if value is not None and o.type not in (None, bool):
-                value = o.type(value)
+                value = _convert(o.key, value, o.type)
         elif value is None:
             value = o.default
         if value is REQUIRED:
@@ -169,7 +179,7 @@ def cmd_gen(params: dict, args: argparse.Namespace) -> int:
     keys = ("n", "p", "s", "dr", "sigma", "nu", "seed", "levels")
     problem = gen_problem(params["kind"], **_pick(params, *keys))
     if params["coherence"]:
-        problem.meta["mu"] = mutual_coherence(problem.op).mu
+        problem.meta["mu"] = mutual_coherence(problem.op)
     manifest_path = save_problem(problem, _outdir(args))
     summary = {"manifest": str(manifest_path), "epsilon": problem.epsilon, "s": problem.s}
     print(json.dumps({"command": "gen", **summary}, sort_keys=True))
@@ -181,11 +191,9 @@ def cmd_solve(params: dict, args: argparse.Namespace) -> int:
     keys = ("penalty", "lambda0", "gamma", "kmax", "path_len_N")
     level = params["lambda_star"]
     if level == "auto":
-        # mu_s is the coherence-sparsity product; every bound depends on mu
-        # and s only through it, so it is stored as (mu=mu_s, s=1).
         if params["mu_s"] is None or params["c"] is None:
             raise ValueError("--lambda-star auto needs --mu-s and --c")
-        theory = TheoryParams(mu=params["mu_s"], s=1, c=params["c"], epsilon=problem.epsilon)
+        theory = TheoryParams(mu_s=params["mu_s"], c=params["c"], epsilon=problem.epsilon)
         level = lambda_star(theory, Penalty(params["penalty"]))
         if not level > 0:
             raise ValueError(
@@ -219,7 +227,7 @@ def cmd_sweep(params: dict, args: argparse.Namespace) -> int:
     # Only parses: SweepSpec and gen_problem own every rule about what a sweep may run.
     fixed = dict(filter(lambda kv: kv[0] != params["varied"] and kv[1] is not None,
                         _pick(params, "matrix_kind", "n", "p", "s", "dr", "sigma", "nu").items()))
-    spec = SweepSpec(varied=params["varied"], values=tuple(_csv(params["values"], float)),
+    spec = SweepSpec(varied=params["varied"], values=tuple(_csv(params, "values", float)),
                      fixed=fixed, replications=params["replications"], base_seed=params["seed"])
     t0 = time.perf_counter()
     rows = support_probability_sweep(spec, **_experiment_kwargs(params))
@@ -231,7 +239,7 @@ def cmd_sweep(params: dict, args: argparse.Namespace) -> int:
 def cmd_phase(params: dict, args: argparse.Namespace) -> int:
     given = [params[k] is not None for k in ("grid", "delta_grid", "rho_grid")]
     if given == [False, True, True]:
-        deltas, rhos = _csv(params["delta_grid"], float), _csv(params["rho_grid"], float)
+        deltas, rhos = _csv(params, "delta_grid", float), _csv(params, "rho_grid", float)
     elif given == [True, False, False]:
         deltas = rhos = np.linspace(0.1, 1.0, params["grid"]).tolist()
     else:
@@ -247,7 +255,7 @@ def cmd_phase(params: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_bench(params: dict, args: argparse.Namespace) -> int:
-    sizes = _csv(params["sizes"], int)
+    sizes = _csv(params, "sizes", int)
     t0 = time.perf_counter()
     rows = benchmark_table(sizes, base_seed=params["seed"], **_experiment_kwargs(params),
                            **_pick(params, "matrix_kind", "replications", "dr", "sigma"))

@@ -1,6 +1,5 @@
 """Experiment drivers: recovery-probability sweeps, phase-transition grids
-with fitted 90%-success curves, benchmark tables, and the 1D partial-FFT
-reconstruction study.
+with fitted 90%-success curves, and benchmark tables.
 
 The sweep, the grid and the table run one trial, ``_trial``: draw a seeded
 instance with ``gen_problem``, run the full path, pick a level by extended
@@ -31,8 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .linop import haar_inverse
-from .metrics import Metrics, reconstruction_metrics, psnr
+from .metrics import Metrics, reconstruction_metrics
 from .modelselect import run_full_path, select_bic
 from .probgen import check_problem_args, gen_problem
 from .solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError
@@ -383,52 +381,3 @@ def benchmark_table(
 
 def bench_to_csv(rows: Sequence[dict], path: Union[str, Path]) -> None:
     write_csv(path, ",".join(BENCH_COLUMNS), ([r[c] for c in BENCH_COLUMNS] for r in rows))
-
-
-# ---------------------------------------------------------------------------
-# 1D partial-FFT reconstruction
-# ---------------------------------------------------------------------------
-
-
-def fft_haar_reconstruction(
-    n: int = 665,
-    p: int = 1024,
-    s: int = 247,
-    dr: float = 100.0,
-    sigma: float = 1e-4,
-    seed: int = 0,
-) -> dict:
-    """Recover a sparse coefficient vector from partial frequency data.
-
-    On a depth-2 ``fft-haar`` problem, runs the l0 full path at the solver's
-    default knobs with BIC selection and reports PSNR both on the coefficient
-    vector and on the time-domain signal it implies (inverse wavelet of the
-    unnormalized coefficients).
-    """
-    problem = gen_problem("fft-haar", n=n, p=p, s=s, dr=dr, sigma=sigma, seed=seed, levels=2)
-    t0 = time.perf_counter()
-    path = run_full_path(problem.op, problem.y, Penalty.L0)
-    lam_best, x_best, _ = select_bic(path, problem.y)
-    elapsed = time.perf_counter() - t0
-    m = reconstruction_metrics(x_best, problem.x_true)
-    op = problem.op
-    u_hat = haar_inverse(x_best / op.col_scale, op.levels)
-    u_true = haar_inverse(problem.x_true / op.col_scale, op.levels)
-    return {
-        "n": n,
-        "p": p,
-        "levels": op.levels,
-        "s": s,
-        "dr": dr,
-        "sigma": sigma,
-        "penalty": Penalty.L0.value,
-        "seed": seed,
-        "psnr_db": m.psnr_db,
-        "signal_psnr_db": psnr(u_hat, u_true),
-        "rel_l2": m.rel_l2,
-        "abs_linf": m.abs_linf,
-        "exact_support": m.exact_support,
-        "lambda_best": lam_best,
-        "n_matvec": path.n_matvec,
-        "wall_time_s": elapsed,
-    }

@@ -186,14 +186,6 @@ class SensingOperator:
         return cols
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Mutual coherence ``mu`` and the column pair attaining it."""
-
-    mu: float
-    argmax_pair: tuple[int, int]
-
-
 def dense_operator(matrix: np.ndarray) -> SensingOperator:
     """Wrap a matrix read from a file as a dense operator, after checking that
     its columns have unit norm (generated ones come from normalize_columns)."""
@@ -211,10 +203,10 @@ def dense_operator(matrix: np.ndarray) -> SensingOperator:
     return SensingOperator(n=n, p=p, kind="dense", matrix=matrix)
 
 
-def normalize_columns(raw: np.ndarray) -> tuple[SensingOperator, np.ndarray]:
+def normalize_columns(raw: np.ndarray) -> SensingOperator:
     """Build a generated matrix's operator: copy ``raw`` once into a read-only
-    column-major buffer divided in place by ``raw``'s column norms, which are
-    returned too, to map solutions back. ``raw`` itself is not changed."""
+    column-major buffer divided in place by ``raw``'s column norms. ``raw``
+    itself is not changed."""
     raw = np.asarray(raw, dtype=np.float64)
     scales = np.linalg.norm(raw, axis=0)
     zero = np.flatnonzero(scales == 0.0)
@@ -224,10 +216,10 @@ def normalize_columns(raw: np.ndarray) -> tuple[SensingOperator, np.ndarray]:
     mat /= scales
     mat.setflags(write=False)
     n, p = mat.shape
-    return SensingOperator(n=n, p=p, kind="dense", matrix=mat), scales
+    return SensingOperator(n=n, p=p, kind="dense", matrix=mat)
 
 
-def mutual_coherence(op: SensingOperator) -> CoherenceReport:
+def mutual_coherence(op: SensingOperator) -> float:
     """Exact maximum of ``|<psi_i, psi_j>|`` over all column pairs ``i != j``.
 
     Implicit operators are densified column-by-column first, which costs p
@@ -244,10 +236,7 @@ def mutual_coherence(op: SensingOperator) -> CoherenceReport:
     mat = op.densify()
     gram = np.abs(mat.T @ mat)
     np.fill_diagonal(gram, -1.0)
-    flat = int(np.argmax(gram))
-    i, j = divmod(flat, op.p)
-    mu = float(min(gram[i, j], 1.0))
-    return CoherenceReport(mu=mu, argmax_pair=(min(i, j), max(i, j)))
+    return float(min(gram.max(), 1.0))
 
 
 def make_partial_fft_haar(p: int, n: int, levels: int, seed: int) -> SensingOperator:

@@ -59,7 +59,7 @@ def gen_bernoulli_matrix(n: int, p: int, seed: SeedLike) -> SensingOperator:
     """Equiprobable ±1 entries; normalization makes every entry ±1/sqrt(n)."""
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(n, p)).astype(np.float64) * 2.0 - 1.0
-    return normalize_columns(signs)[0]
+    return normalize_columns(signs)
 
 
 def gen_correlated_gaussian(n: int, p: int, nu: float, seed: SeedLike) -> SensingOperator:
@@ -77,7 +77,7 @@ def gen_correlated_gaussian(n: int, p: int, nu: float, seed: SeedLike) -> Sensin
     if nu != 0:
         a, b = z[:, 0 : p - 1 : 2], z[:, 1::2]
         a[...], b[...] = a + nu * b, nu * a + b
-    return normalize_columns(z)[0]
+    return normalize_columns(z)
 
 
 def gen_sparse_signal(p: int, s: int, dr: float, seed: SeedLike) -> np.ndarray:
@@ -164,10 +164,10 @@ def check_problem_args(
     levels: int = 2,
 ) -> None:
     """Raise the ValueError :func:`gen_problem` raises for these arguments'
-    noise level, mixing weight, matrix kind, sparsity or dynamic range, in
-    that order, without drawing anything. It takes ``gen_problem``'s
-    arguments, so a list of draws can be checked before the first is
-    generated; ``seed`` and ``levels`` are not checked here, and the
+    noise level, mixing weight, matrix kind, measurement count, sparsity or
+    dynamic range, in that order, without drawing anything. It takes
+    ``gen_problem``'s arguments, so a list of draws can be checked before the
+    first is generated; ``seed`` and ``levels`` are not checked here, and the
     operator constructors still check the sizes they are given."""
     if not 0 <= sigma < math.inf:  # also rejects NaN
         raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
@@ -179,6 +179,8 @@ def check_problem_args(
         if nu is None:
             raise ValueError("the correlated kind needs a mixing weight nu")
         _check_mixing_weight(nu)
+    if not n >= 1:
+        raise ValueError(f"measurement count must be >= 1, got {n}")
     _check_signal(p, s, dr)
 
 

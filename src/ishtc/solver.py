@@ -106,32 +106,24 @@ class SolverConfig:
 class TheoryParams:
     """Coherence/noise constants behind the stopping level and error bound.
 
-    ``mu`` is the operator's mutual coherence, ``s`` the true sparsity,
-    ``c`` the stopping-rule constant, read as a level, ``epsilon`` the noise
-    norm; building the params checks the coherence regime, and
-    :meth:`validate` checks ``c``. Every rule below is one formula in the
-    constant's cut ``t = penalty.threshold(c)`` (``c`` soft, ``sqrt(2c)``
-    hard), because both thresholds obey the stability bound ``|y| + t``.
+    ``mu_s`` is the coherence-sparsity product, the only way the guarantee
+    reads either; ``c`` the stopping-rule constant, read as a level;
+    ``epsilon`` the noise norm. Building the params checks ``0 <= mu_s < 1/2``
+    and a finite ``epsilon >= 0``, and :meth:`validate` checks ``c``. Every
+    rule below is one formula in the constant's cut ``t = penalty.threshold(c)``
+    (``c`` soft, ``sqrt(2c)`` hard), because both thresholds obey the
+    stability bound ``|y| + t``.
     """
 
-    mu: float
-    s: int
+    mu_s: float
     c: float
     epsilon: float
 
-    @property
-    def mu_s(self) -> float:
-        return self.mu * self.s
-
     def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError(f"coherence must be >= 0, got {self.mu}")
-        if self.s < 1:
-            raise ValueError(f"sparsity must be >= 1, got {self.s}")
-        if self.epsilon < 0:
-            raise ValueError(f"noise norm must be >= 0, got {self.epsilon}")
-        if not self.mu_s < 0.5:
-            raise ValueError(f"guarantees need mu*s < 1/2, got mu*s = {self.mu_s:.6g}")
+        if not 0.0 <= self.mu_s < 0.5:  # also rejects NaN
+            raise ValueError(f"guarantees need 0 <= mu*s < 1/2, got mu*s = {self.mu_s:.6g}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"noise norm must be finite and >= 0, got {self.epsilon:.6g}")
 
     def validate(self, penalty: Penalty) -> None:
         """Check that the constant's cut exceeds ``1/(1-2*mu*s)``."""

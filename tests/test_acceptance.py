@@ -15,7 +15,6 @@ import numpy as np
 from ishtc.cli import EXIT_OK, main
 from ishtc.experiments import (
     SweepSpec,
-    fft_haar_reconstruction,
     fit_90pct_curve,
     median_smooth3,
     phase_transition_grid,
@@ -87,11 +86,11 @@ def _guarantee_outcome(prob, s):
     instance: c = 2/(1 - 2*mu*s) (strictly admissible), gamma at the midpoint
     of its allowed interval, stop level lambda_star = c * epsilon.
     """
-    mu = mutual_coherence(prob.op).mu
+    mu = mutual_coherence(prob.op)
     if mu * s >= 0.5:
         return False, False, False, False
     c1 = 2.0 / (1.0 - 2.0 * mu * s)
-    theory = TheoryParams(mu=mu, s=s, c=c1, epsilon=prob.epsilon)
+    theory = TheoryParams(mu_s=mu * s, c=c1, epsilon=prob.epsilon)
     gb = gamma_lower_bound(theory, Penalty.L1)
     gam = gb + 0.5 * (1.0 - gb)
     if not 0.0 < gam < 1.0:
@@ -150,7 +149,7 @@ def test_criterion_4_matvec_accounting_exact():
     """n_matvec = 2*kmax*(executed levels) + 1 iff lambda0 is auto; level
     count never exceeds ceil(ln(lambda_star/lambda0)/ln gamma)."""
     rng = np.random.default_rng(11)
-    op, _ = normalize_columns(rng.standard_normal((30, 60)))
+    op = normalize_columns(rng.standard_normal((30, 60)))
     x_true = np.zeros(60)
     x_true[[4, 17]] = (1.5, -2.0)
     y = op.apply(x_true) + 1e-3 * rng.standard_normal(30)
@@ -262,11 +261,14 @@ def test_criterion_7_phase_transition_sanity():
 
 def test_criterion_8_fft_haar_reconstruction_psnr():
     """Partial-FFT measurements of a Haar-sparse signal reconstruct to at
-    least 45 dB PSNR inside 30 s."""
+    least 45 dB PSNR inside 30 s: the depth-2 fft-haar problem through the
+    l0 full path at the solver's default knobs and a BIC pick."""
     t0 = time.perf_counter()
-    result = fft_haar_reconstruction()
+    prob = gen_problem("fft-haar", n=665, p=1024, s=247, dr=100.0, sigma=1e-4, seed=0, levels=2)
+    path = run_full_path(prob.op, prob.y, Penalty.L0)
+    _, x_best, _ = select_bic(path, prob.y)
     elapsed = time.perf_counter() - t0
-    assert result["psnr_db"] >= 45.0
+    assert reconstruction_metrics(x_best, prob.x_true).psnr_db >= 45.0
     assert elapsed < 30.0
 
 

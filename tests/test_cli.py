@@ -73,7 +73,7 @@ def test_solve_with_guarantee_stop(tmp_path):
     assert manifest["params"]["mu_s"] == 0.05
     assert manifest["params"]["c"] == 3.0
     epsilon = json.loads((prob_dir / "manifest.json").read_text())["epsilon"]
-    level = lambda_star(TheoryParams(0.05, 1, 3.0, epsilon), Penalty.L0)
+    level = lambda_star(TheoryParams(0.05, 3.0, epsilon), Penalty.L0)
     assert manifest["solver_config"]["lambda_star"] == level
 
     # The derived level given as a number runs the same solve, byte for byte.
@@ -92,6 +92,23 @@ def test_solve_auto_stop_with_zero_noise_exit_2(tmp_path, capsys):
                "--mu-s", "0.05", "--c", "3", "--out", str(tmp_path / "run")])
     assert rc == EXIT_SCHEMA
     assert "not positive" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_solve_auto_stop_with_non_finite_manifest_noise_norm_exit_2(epsilon, tmp_path, capsys):
+    """A NaN or infinite noise norm in the manifest is refused as such, not
+    reported as a stopping level that is not positive or not finite."""
+    prob_dir = tmp_path / "prob"
+    _gen_small(prob_dir)
+    manifest_path = prob_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**manifest, "epsilon": epsilon}))
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(prob_dir), "--penalty", "l1", "--lambda-star", "auto",
+               "--mu-s", "0.05", "--c", "3", "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SCHEMA
+    assert "noise norm" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("penalty", ["l1", "l0"])
@@ -123,7 +140,7 @@ def test_solve_lambda0_at_or_below_derived_stop_exit_2(scale, tmp_path):
     prob_dir = tmp_path / "prob"
     _gen_small(prob_dir)
     epsilon = json.loads((prob_dir / "manifest.json").read_text())["epsilon"]
-    level = lambda_star(TheoryParams(0.05, 1, 3.0, epsilon), Penalty.L0)
+    level = lambda_star(TheoryParams(0.05, 3.0, epsilon), Penalty.L0)
     rc = main(["solve", "--problem", str(prob_dir), "--penalty", "l0", "--lambda-star", "auto",
                "--mu-s", "0.05", "--c", "3", "--lambda0", repr(scale * level),
                "--out", str(tmp_path / "run")])
@@ -587,13 +604,27 @@ PHASE = ["phase", "--p", "8", "--trials", "1", "--path-len", "5"]
      EXIT_SCHEMA, "mixing weight must be finite and >= 0"),
     ([*SWEEP, "--varied", "nu", "--values", "0.5,inf", "--matrix-kind", "correlated"], None,
      EXIT_SCHEMA, "mixing weight must be finite"),
+    ([*SWEEP, "--varied", "s", "--values", "2", "--n", "0"], None, EXIT_SCHEMA,
+     "measurement count must be >= 1"),
+    # A config-file list item obeys the rules of a config scalar.
+    (["bench", "--replications", "1"], {"sizes": [320.7]}, EXIT_SCHEMA,
+     "sizes must be an integer, got 320.7"),
+    (PHASE, {"delta_grid": [True], "rho_grid": [0.1]}, EXIT_SCHEMA,
+     "delta_grid must be a number, got True"),
+    ([*SWEEP, "--varied", "sigma"], {"values": [True, 0.01]}, EXIT_SCHEMA,
+     "values must be a number, got True"),
+    (PHASE, {"delta_grid": {"0.5": 1}, "rho_grid": [0.1]}, EXIT_SCHEMA,
+     "delta_grid must be a list"),
+    (["bench"], {"sizes": 320}, EXIT_SCHEMA, "sizes must be a list"),
 ], ids=["sweep-s-2.6,2.4", "sweep-s-inf", "sweep-s--inf", "sweep-s-nan",
         "sweep-correlated-without-nu", "sweep-nu-on-gaussian", "phase-grid-and-delta-grid",
         "phase-grid-and-both-grids", "bench-correlated", "gen-without-kind", "missing-config",
         "config-list", "config-penalty-l2", "config-lambda-star-soon", "gen-nu-negative",
         "phase-grid-0", "sweep-sigma-nan-later", "sweep-sigma-negative-later",
         "sweep-s-above-p-later", "sweep-s-0-later", "sweep-nu-negative-later",
-        "sweep-nu-inf-later"])
+        "sweep-nu-inf-later", "sweep-n-0", "config-sizes-item-320.7",
+        "config-delta-grid-item-true", "config-values-item-true", "config-delta-grid-object",
+        "config-sizes-scalar"])
 def test_refusals_print_one_json_record(argv, config, code, fragment, tmp_path, capsys,
                                         monkeypatch):
     """Exit 2 or 3 with one JSON record naming the rule, before any trial and

@@ -13,7 +13,6 @@ from ishtc.experiments import (
     bench_to_csv,
     benchmark_table,
     curve90_to_csv,
-    fft_haar_reconstruction,
     fit_90pct_curve,
     median_smooth3,
     phase_to_csv,
@@ -238,14 +237,3 @@ def test_pool_has_at_most_one_thread_per_task_and_per_cpu(workers, cpus, threads
     monkeypatch.undo()
     serial = phase_transition_grid([0.5, 1.0], [0.1], workers=1, **kwargs)
     np.testing.assert_array_equal(grid.successes, serial.successes)
-
-
-def test_fft_haar_reconstruction_small():
-    result = fft_haar_reconstruction(n=48, p=64, s=8, dr=10.0, sigma=1e-5, seed=2)
-    assert result["psnr_db"] > 30.0
-    assert result["rel_l2"] < 1e-2
-    assert result["n_matvec"] > 0
-    assert set(result) >= {
-        "psnr_db", "signal_psnr_db", "rel_l2", "abs_linf", "exact_support",
-        "lambda_best", "n_matvec", "wall_time_s",
-    }

@@ -20,7 +20,7 @@ from ishtc.thresholding import Penalty
 
 def _instance(seed=11, n=30, p=60):
     rng = np.random.default_rng(seed)
-    op, _ = normalize_columns(rng.standard_normal((n, p)))
+    op = normalize_columns(rng.standard_normal((n, p)))
     x_true = np.zeros(p)
     x_true[[4, 17]] = (1.5, -2.0)
     y = op.apply(x_true) + 1e-3 * rng.standard_normal(n)

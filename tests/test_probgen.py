@@ -103,7 +103,7 @@ def test_bernoulli_entries_exact():
 def test_bernoulli_coherence_mostly_below_half():
     """At 100x400 the coherence stays under 1/2 for at least 95 of 100 seeds."""
     wins = sum(
-        mutual_coherence(gen_bernoulli_matrix(100, 400, seed)).mu < 0.5
+        mutual_coherence(gen_bernoulli_matrix(100, 400, seed)) < 0.5
         for seed in range(100)
     )
     assert wins >= 95
@@ -111,7 +111,7 @@ def test_bernoulli_coherence_mostly_below_half():
 
 def test_gaussian_coherence_level():
     # 500x1000 normalized Gaussian columns peak near 0.2 pairwise overlap
-    mus = [mutual_coherence(gen_correlated_gaussian(500, 1000, 0.0, seed)).mu
+    mus = [mutual_coherence(gen_correlated_gaussian(500, 1000, 0.0, seed))
            for seed in range(20)]
     assert all(0.15 <= m <= 0.28 for m in mus)
     assert 0.17 <= float(np.mean(mus)) <= 0.23
@@ -133,7 +133,7 @@ def test_correlated_coherence_grows_with_nu():
     nus = np.arange(0.0, 1.0001, 0.05)
     mean_mu = [
         float(np.mean([
-            mutual_coherence(gen_correlated_gaussian(250, 500, float(nu), seed)).mu
+            mutual_coherence(gen_correlated_gaussian(250, 500, float(nu), seed))
             for seed in range(10)
         ]))
         for nu in nus
@@ -213,6 +213,13 @@ def test_problem_sigma_change_keeps_matrix_and_signal():
 def test_problem_correlated_requires_nu():
     with pytest.raises(ValueError):
         gen_problem("correlated", n=10, p=20, s=2, dr=10.0, sigma=0.0, seed=0)
+
+
+@pytest.mark.parametrize("kind, n", [("gaussian", 0), ("bernoulli", -2)])
+def test_problem_measurement_count_below_one(kind, n):
+    """Refused by the argument check, before any operator constructor sees it."""
+    with pytest.raises(ValueError, match="measurement count must be >= 1"):
+        gen_problem(kind, n=n, p=16, s=2, dr=10.0, sigma=0.0, seed=0)
 
 
 def test_problem_unknown_kind():

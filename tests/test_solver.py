@@ -31,7 +31,7 @@ def _orthonormal_op(n, p, seed):
 
 def _small_instance(seed=11, n=30, p=60, sigma=1e-3):
     rng = np.random.default_rng(seed)
-    op, _ = normalize_columns(rng.standard_normal((n, p)))
+    op = normalize_columns(rng.standard_normal((n, p)))
     x_true = np.zeros(p)
     x_true[[4, 17]] = (1.5, -2.0)
     y = op.apply(x_true) + sigma * rng.standard_normal(n)
@@ -174,7 +174,7 @@ def test_divergence_error_carries_diagnostics():
 def _diverging_instance():
     # dense support at a square aspect makes the unit-step iteration blow up
     rng = np.random.default_rng(3)
-    op, _ = normalize_columns(rng.standard_normal((80, 80)))
+    op = normalize_columns(rng.standard_normal((80, 80)))
     x0 = np.zeros(80)
     sup = rng.choice(80, 40, replace=False)
     x0[sup] = rng.choice([-1.0, 1.0], 40)
@@ -235,7 +235,7 @@ def _oracle_problem(kind):
 
 
 #: Stops by name; "auto" is the level the guarantee constants derive.
-STOPS = {"path": "path", "explicit": 0.05, "auto": TheoryParams(mu=0.05, s=1, c=3.0, epsilon=0.05)}
+STOPS = {"path": "path", "explicit": 0.05, "auto": TheoryParams(mu_s=0.05, c=3.0, epsilon=0.05)}
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "correlated", "fft-haar"])
@@ -337,7 +337,7 @@ def test_inner_iterate_fixed_point():
 
 def test_inner_iterate_matches_naive_step():
     rng = np.random.default_rng(21)
-    op, _ = normalize_columns(rng.standard_normal((10, 15)))
+    op = normalize_columns(rng.standard_normal((10, 15)))
     x_true = np.zeros(15)
     x_true[[2, 9]] = (1.5, -2.0)
     y = op.apply(x_true) + 1e-3 * rng.standard_normal(10)
@@ -500,32 +500,32 @@ def test_solve_refused_or_within_the_bound(lam0, lam_star, gamma, kmax, path_len
 
 
 def test_lambda_star_substitution():
-    soft = TheoryParams(mu=0.25, s=1, c=4.0, epsilon=0.01)
+    soft = TheoryParams(mu_s=0.25, c=4.0, epsilon=0.01)
     assert lambda_star(soft, Penalty.L1) == pytest.approx(0.04)
-    hard = TheoryParams(mu=0.25, s=1, c=3.0, epsilon=0.1)
+    hard = TheoryParams(mu_s=0.25, c=3.0, epsilon=0.1)
     assert lambda_star(hard, Penalty.L0) == pytest.approx(0.03)
 
 
 def test_lambda_star_constant_constraint():
     # at mu*s = 0.25 the soft constant must exceed 1/(1 - 0.5) = 2
-    bad = TheoryParams(mu=0.25, s=1, c=1.5, epsilon=0.01)
+    bad = TheoryParams(mu_s=0.25, c=1.5, epsilon=0.01)
     with pytest.raises(ValueError, match="must exceed"):
         lambda_star(bad, Penalty.L1)
 
 
 def test_gamma_lower_bound_substitution():
-    soft = TheoryParams(mu=0.25, s=1, c=4.0, epsilon=0.01)
+    soft = TheoryParams(mu_s=0.25, c=4.0, epsilon=0.01)
     assert gamma_lower_bound(soft, Penalty.L1) == pytest.approx(2.0 / 3.0)
-    hard = TheoryParams(mu=0.1, s=1, c=2.0, epsilon=0.1)
+    hard = TheoryParams(mu_s=0.1, c=2.0, epsilon=0.1)
     assert gamma_lower_bound(hard, Penalty.L0) == pytest.approx(0.16)
-    tiny = TheoryParams(mu=1e-9, s=1, c=4.0, epsilon=0.01)
+    tiny = TheoryParams(mu_s=1e-9, c=4.0, epsilon=0.01)
     assert gamma_lower_bound(tiny, Penalty.L1) < 1e-8
 
 
 def test_error_bound_substitution():
-    soft = TheoryParams(mu=0.25, s=1, c=4.0, epsilon=0.01)
+    soft = TheoryParams(mu_s=0.25, c=4.0, epsilon=0.01)
     assert theoretical_error_bound(soft, Penalty.L1) == pytest.approx(0.12)
-    hard = TheoryParams(mu=0.25, s=1, c=2.0, epsilon=0.1)
+    hard = TheoryParams(mu_s=0.25, c=2.0, epsilon=0.1)
     assert theoretical_error_bound(hard, Penalty.L0) == pytest.approx(0.4)
 
 
@@ -552,7 +552,7 @@ def test_guarantee_rules_match_the_closed_forms(penalty, ms, ratio, eps):
     everywhere but within 1e-12 (relative) of the constant's lower bound."""
     c_min, stop, gamma, error = CLOSED_FORMS[penalty]
     c = c_min(ms) * ratio
-    theory = TheoryParams(mu=ms, s=1, c=c, epsilon=eps)
+    theory = TheoryParams(mu_s=ms, c=c, epsilon=eps)
     try:
         theory.validate(penalty)
         refused = False
@@ -569,26 +569,27 @@ def test_guarantee_rules_match_the_closed_forms(penalty, ms, ratio, eps):
 
 
 def test_error_bound_zero_coherence():
-    flat = TheoryParams(mu=0.0, s=3, c=4.0, epsilon=0.01)
+    flat = TheoryParams(mu_s=0.0, c=4.0, epsilon=0.01)
     with pytest.raises(ValueError, match="zero coherence"):
         theoretical_error_bound(flat, Penalty.L1)
 
 
 def test_error_bound_needs_a_cut_of_at_least_one():
     with pytest.raises(ValueError, match="must be >= 1"):
-        theoretical_error_bound(TheoryParams(mu=0.25, s=1, c=0.5, epsilon=0.01), Penalty.L1)
+        theoretical_error_bound(TheoryParams(mu_s=0.25, c=0.5, epsilon=0.01), Penalty.L1)
 
 
-def test_theory_params_assumption_enforced():
-    """Building the params checks the coherence regime, before any penalty."""
-    with pytest.raises(ValueError, match="mu\\*s < 1/2"):
-        TheoryParams(mu=0.3, s=2, c=4.0, epsilon=0.01)
-    with pytest.raises(ValueError, match="coherence"):
-        TheoryParams(mu=-0.1, s=1, c=4.0, epsilon=0.01)
-    with pytest.raises(ValueError, match="sparsity"):
-        TheoryParams(mu=0.1, s=0, c=4.0, epsilon=0.01)
-    with pytest.raises(ValueError, match="noise norm"):
-        TheoryParams(mu=0.1, s=1, c=4.0, epsilon=-0.01)
+@pytest.mark.parametrize("field, value", [
+    ("mu_s", 0.6), ("mu_s", 0.5), ("mu_s", -0.1), ("mu_s", math.nan), ("mu_s", math.inf),
+    ("mu_s", -math.inf), ("epsilon", -0.01), ("epsilon", math.nan), ("epsilon", math.inf),
+    ("epsilon", -math.inf),
+])
+def test_theory_params_assumption_enforced(field, value):
+    """Building the params checks the coherence regime and the noise norm,
+    before any penalty; NaN and infinities are refused, not carried."""
+    fragment = {"mu_s": "mu\\*s < 1/2", "epsilon": "noise norm"}[field]
+    with pytest.raises(ValueError, match=fragment):
+        TheoryParams(**{"mu_s": 0.1, "c": 4.0, "epsilon": 0.01, field: value})
 
 
 def test_path_result_csv(tmp_path):
