@@ -1,13 +1,16 @@
 """Experiment drivers: recovery-probability sweeps, phase-transition grids
 with fitted 90%-success curves, and benchmark tables.
 
-The sweep, the grid and the table run one trial, ``_trial``: draw a seeded
-instance with ``gen_problem``, run the full path, pick a level by extended
+The sweep, the grid and the table run one trial, ``_trial``: on a seeded
+instance from ``gen_problem``, run the full path, pick a level by extended
 BIC and score the pick. It returns (metrics, matvec count, solve seconds),
 or None when the solve diverged. Each of the three lists its draws and
 hands them to one ``_run_trials`` call, which checks every draw with
-``check_problem_args`` before the first trial and then maps them through
-``_run_ordered``; the caller reduces the records.
+``check_problem_args`` before the first trial, groups the draws that share
+a matrix (they differ only in ``s``, ``dr`` or ``sigma``, as a sweep's
+replication does across an s or sigma grid) into one task that draws it
+once with ``gen_operator``, and maps the tasks through ``_run_ordered``;
+the caller reduces the records.
 
 Every driver is a pure function of its spec and base seed. Replication
 seeds are derived from the base seed with stable integer keys, tasks are
@@ -32,12 +35,15 @@ import numpy as np
 
 from .metrics import Metrics, reconstruction_metrics
 from .modelselect import run_full_path, select_bic
-from .probgen import check_problem_args, gen_problem
+from .probgen import Problem, check_problem_args, gen_operator, gen_problem
 from .solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError
 from .storage import write_csv
 from .thresholding import Penalty
 
 LN9 = math.log(9.0)
+
+#: ``gen_problem`` arguments that the matrix draw does not read.
+_SIGNAL_ARGS = ("s", "dr", "sigma")
 
 #: Columns of a :func:`benchmark_table` row, in ``bench.csv`` order.
 BENCH_COLUMNS = ("p", "n", "s", "time_s", "n_matvec", "rel_l2", "abs_linf", "diverged")
@@ -67,21 +73,36 @@ def _run_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
 def _run_trials(draws: Sequence[dict], workers: int, penalty: Penalty, gamma: float, kmax: int,
                 path_len: int) -> list:
     """``_trial`` records of ``draws``, in order. Every draw is checked
-    first, so a grid refuses a bad value before its first trial runs."""
+    first, so a grid refuses a bad value before its first trial runs. Draws
+    whose other arguments agree run as one task that draws their matrix once."""
     for draw in draws:
         check_problem_args(**draw)
-    trial = partial(_trial, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
-    return _run_ordered(trial, draws, workers)
+    groups: dict = {}
+    for i, draw in enumerate(draws):
+        key = tuple(sorted((k, v) for k, v in draw.items() if k not in _SIGNAL_ARGS))
+        groups.setdefault(key, []).append(i)
+    task = partial(_task, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
+    done = _run_ordered(task, [[draws[i] for i in idx] for idx in groups.values()], workers)
+    records: list = [None] * len(draws)
+    for idx, recs in zip(groups.values(), done):
+        for i, rec in zip(idx, recs):
+            records[i] = rec
+    return records
+
+
+def _task(draws: Sequence[dict], **solve) -> list:
+    """``_trial`` records of draws that share one matrix, drawn here once."""
+    op = gen_operator(**{k: v for k, v in draws[0].items() if k not in _SIGNAL_ARGS})
+    return [_trial(gen_problem(**draw, op=op), **solve) for draw in draws]
 
 
 def _trial(
-    draw: dict, penalty: Penalty, gamma: float, kmax: int, path_len: int
+    problem: Problem, penalty: Penalty, gamma: float, kmax: int, path_len: int
 ) -> Optional[Tuple[Metrics, int, float]]:
-    """Full path and BIC pick on ``gen_problem(**draw)``: the pick's metrics,
-    the path's matvec count and the seconds of path plus pick, or None when
-    the solve diverged. The problem and the path die here, so a large grid
+    """Full path and BIC pick on ``problem``: the pick's metrics, the path's
+    matvec count and the seconds of path plus pick, or None when the solve
+    diverged. The problem and the path die in the task, so a large grid
     holds only these records."""
-    problem = gen_problem(**draw)
     t0 = time.perf_counter()
     try:
         path = run_full_path(problem.op, problem.y, penalty, gamma=gamma, kmax=kmax, N=path_len)
@@ -172,10 +193,6 @@ class PhaseGrid:
     successes: np.ndarray
     trials: int
     p: int
-
-    @property
-    def success_rates(self) -> np.ndarray:
-        return self.successes / self.trials
 
     def cell_dims(self, i: int, j: int) -> Tuple[int, int]:
         """Integer (n, s) realized at grid cell (i, j), each >= 1."""
@@ -303,15 +320,6 @@ def fit_90pct_curve(grid: PhaseGrid) -> Tuple[np.ndarray, List[str]]:
         rho90[i] = val
         flags.append(flag)
     return rho90, flags
-
-
-def median_smooth3(v: Sequence[float]) -> np.ndarray:
-    """3-point running median with replicated endpoints."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size <= 2:
-        return v.copy()
-    padded = np.concatenate([v[:1], v, v[-1:]])
-    return np.array([float(np.median(padded[i : i + 3])) for i in range(v.size)])
 
 
 def phase_to_csv(grid: PhaseGrid, path: Union[str, Path]) -> None:

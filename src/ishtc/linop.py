@@ -12,6 +12,12 @@ least :data:`RESTRICTED_MIN_SIZE`, it computes ``matrix[:, S] @ x[S]`` over
 the support ``S`` only; otherwise the full ``matrix @ x``. Both give the
 same product up to summation order (a few ulps), and either counts as one
 matvec. The adjoint always runs in full.
+
+The solver also reads a dense matrix directly. When ``n * p`` is at least
+``solver.GRAM_MIN_SIZE`` (2^18) a solve holds the Gram rows
+``matrix.T @ matrix[:, j]`` of the columns that have entered its support,
+at most ``n // 4`` of them, and takes its inner steps from them instead of
+from ``apply_adjoint``. That cache belongs to the solve, not the operator.
 """
 
 from __future__ import annotations

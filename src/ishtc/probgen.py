@@ -7,6 +7,8 @@ noise direction at a different scale.
 
 Every dense kind is drawn once, mixed in place if it needs mixing, and
 normalized once by ``linop.normalize_columns`` into its final buffer.
+:func:`gen_operator` is the matrix half of :func:`gen_problem`, so callers
+that hold many draws of one matrix can draw it once.
 """
 
 from __future__ import annotations
@@ -108,6 +110,26 @@ def gen_sparse_signal(p: int, s: int, dr: float, seed: SeedLike) -> np.ndarray:
     return x
 
 
+def gen_operator(
+    matrix_kind: str,
+    n: int,
+    p: int,
+    nu: Optional[float] = None,
+    seed: int = 0,
+    levels: int = 2,
+) -> SensingOperator:
+    """The operator of :func:`gen_problem` with these arguments. It is drawn
+    from the seed's matrix stream alone, so draws that differ only in ``s``,
+    ``dr`` or ``sigma`` share it."""
+    _check_matrix_args(matrix_kind, n, nu)
+    mat_ss = _substream(seed, _MATRIX_STREAM)
+    if matrix_kind == "bernoulli":
+        return gen_bernoulli_matrix(n, p, mat_ss)
+    if matrix_kind == "fft-haar":
+        return make_partial_fft_haar(p, n, levels, seed=int(mat_ss.generate_state(1)[0]))
+    return gen_correlated_gaussian(n, p, nu if matrix_kind == "correlated" else 0.0, mat_ss)
+
+
 def gen_problem(
     matrix_kind: str,
     n: int,
@@ -118,23 +140,20 @@ def gen_problem(
     nu: Optional[float] = None,
     seed: int = 0,
     levels: int = 2,
+    op: Optional[SensingOperator] = None,
 ) -> Problem:
     """Compose matrix, signal, and noise into one instance.
 
     ``nu`` is required for (and only used by) the ``correlated`` kind, but
     every kind echoes it into ``meta``, so it must be finite for every kind;
     ``levels`` only by ``fft-haar``, whose signal is sparse in the
-    coefficient domain the operator expects.
+    coefficient domain the operator expects. ``op``, when given, must be
+    ``gen_operator(matrix_kind, n, p, nu, seed, levels)``: a sweep passes it
+    so that draws sharing those arguments draw their matrix once.
     """
     check_problem_args(matrix_kind, n, p, s, dr, sigma, nu)
-    mat_ss = _substream(seed, _MATRIX_STREAM)
-    if matrix_kind == "bernoulli":
-        op = gen_bernoulli_matrix(n, p, mat_ss)
-    elif matrix_kind == "fft-haar":
-        op = make_partial_fft_haar(p, n, levels, seed=int(mat_ss.generate_state(1)[0]))
-    else:
-        op = gen_correlated_gaussian(n, p, nu if matrix_kind == "correlated" else 0.0, mat_ss)
-
+    if op is None:
+        op = gen_operator(matrix_kind, n, p, nu, seed, levels)
     x_true = gen_sparse_signal(p, s, dr, _substream(seed, _SIGNAL_STREAM))
     noise = sigma * np.random.default_rng(_substream(seed, _NOISE_STREAM)).standard_normal(n)
     y = op.apply(x_true) + noise
@@ -171,6 +190,11 @@ def check_problem_args(
     operator constructors still check the sizes they are given."""
     if not 0 <= sigma < math.inf:  # also rejects NaN
         raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
+    _check_matrix_args(matrix_kind, n, nu)
+    _check_signal(p, s, dr)
+
+
+def _check_matrix_args(matrix_kind: str, n: int, nu: Optional[float]) -> None:
     if nu is not None and not math.isfinite(nu):
         raise ValueError(f"mixing weight must be finite, got {nu}")
     if matrix_kind not in MATRIX_KINDS:
@@ -181,7 +205,6 @@ def check_problem_args(
         _check_mixing_weight(nu)
     if not n >= 1:
         raise ValueError(f"measurement count must be >= 1, got {n}")
-    _check_signal(p, s, dr)
 
 
 def _check_mixing_weight(nu: float) -> None:

@@ -16,7 +16,6 @@ from ishtc.cli import EXIT_OK, main
 from ishtc.experiments import (
     SweepSpec,
     fit_90pct_curve,
-    median_smooth3,
     phase_transition_grid,
     support_probability_sweep,
 )
@@ -79,26 +78,26 @@ def test_criterion_2_orthonormal_path_oracle():
                 assert np.max(np.abs(sol - ref)) <= 1e-12
 
 
-def _guarantee_outcome(prob, s):
+def _guarantee_outcome(prob, s, penalty=Penalty.L1):
     """Check support containment and the l-inf bound with admissible constants.
 
     Returns (qualifies, held, exact_checked, exact_held). Constants per
-    instance: c = 2/(1 - 2*mu*s) (strictly admissible), gamma at the midpoint
-    of its allowed interval, stop level lambda_star = c * epsilon.
+    instance: the constant c whose cut is t = 2/(1 - 2*mu*s) (strictly
+    admissible; c = t for L1, t**2/2 for L0), gamma at the midpoint of its
+    allowed interval, stop level lambda_star(theory, penalty).
     """
     mu = mutual_coherence(prob.op)
     if mu * s >= 0.5:
         return False, False, False, False
-    c1 = 2.0 / (1.0 - 2.0 * mu * s)
-    theory = TheoryParams(mu_s=mu * s, c=c1, epsilon=prob.epsilon)
-    gb = gamma_lower_bound(theory, Penalty.L1)
+    c = penalty.level(2.0 / (1.0 - 2.0 * mu * s))
+    theory = TheoryParams(mu_s=mu * s, c=c, epsilon=prob.epsilon)
+    gb = gamma_lower_bound(theory, penalty)
     gam = gb + 0.5 * (1.0 - gb)
     if not 0.0 < gam < 1.0:
         return False, False, False, False
-    cfg = SolverConfig(penalty=Penalty.L1, gamma=gam,
-                       lambda_star=lambda_star(theory, Penalty.L1))
+    cfg = SolverConfig(penalty=penalty, gamma=gam, lambda_star=lambda_star(theory, penalty))
     x_star, _ = continuation_solve(prob.op, prob.y, cfg)
-    bound = theoretical_error_bound(theory, Penalty.L1)
+    bound = theoretical_error_bound(theory, penalty)
     sup_pred = set(np.flatnonzero(x_star).tolist())
     sup_true = set(np.flatnonzero(prob.x_true).tolist())
     held = sup_pred <= sup_true and float(np.max(np.abs(x_star - prob.x_true))) <= bound
@@ -226,6 +225,15 @@ def test_criterion_6_bic_error_band():
     assert float(np.max(linfs)) <= 1.0
 
 
+def median_smooth3(v):
+    """3-point running median with replicated endpoints (criterion 7's smoother)."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size <= 2:
+        return v.copy()
+    padded = np.concatenate([v[:1], v, v[-1:]])
+    return np.array([float(np.median(padded[i : i + 3])) for i in range(v.size)])
+
+
 def test_criterion_7_phase_transition_sanity():
     """Success-rate grid over (n/p, s/n): easy cell certain, hard cell dead,
     90%-success curve defined everywhere and nondecreasing after smoothing."""
@@ -236,7 +244,7 @@ def test_criterion_7_phase_transition_sanity():
         delta_grid=delta, rho_grid=rho, p=400, trials=20,
         penalty=Penalty.L1, base_seed=2024, workers=4,
     )
-    rates = grid.success_rates
+    rates = grid.successes / grid.trials
 
     i_easy = int(np.argmin(np.abs(delta - 0.9)))
     j_easy = int(np.argmin(np.abs(rho - 0.12)))

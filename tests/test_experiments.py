@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ishtc import experiments
+from ishtc import experiments, probgen
 from ishtc.experiments import (
     PhaseGrid,
     SweepSpec,
@@ -14,13 +14,16 @@ from ishtc.experiments import (
     benchmark_table,
     curve90_to_csv,
     fit_90pct_curve,
-    median_smooth3,
     phase_to_csv,
     phase_transition_grid,
     support_probability_sweep,
     sweep_to_csv,
 )
+from ishtc.metrics import reconstruction_metrics
+from ishtc.modelselect import run_full_path, select_bic
+from ishtc.probgen import gen_problem
 from ishtc.thresholding import Penalty
+from test_acceptance import median_smooth3
 
 TINY_SWEEP = dict(
     fixed={"matrix_kind": "gaussian", "n": 20, "p": 40, "sigma": 0.0, "dr": 1.0},
@@ -63,6 +66,41 @@ def test_sweep_deterministic_in_base_seed():
     assert support_probability_sweep(spec, Penalty.L1) == support_probability_sweep(
         spec, Penalty.L1
     )
+
+
+@pytest.mark.parametrize("varied, values, fixed", [
+    ("s", (1.0, 3.0, 6.0), {"matrix_kind": "gaussian", "sigma": 1e-2}),
+    ("sigma", (0.0, 1e-2, 3e-1), {"matrix_kind": "gaussian", "s": 4}),
+    ("nu", (0.0, 0.5, 0.9), {"matrix_kind": "correlated", "s": 4, "sigma": 1e-2}),
+])
+def test_sweep_draws_one_matrix_per_replication(varied, values, fixed, monkeypatch):
+    """An s or sigma sweep draws each replication's matrix once; a nu sweep
+    draws one per value. The rates are those of one gen_problem per draw."""
+    fixed = {"n": 20, "p": 40, "dr": 10.0, **fixed}
+    spec = SweepSpec(varied=varied, values=values, fixed=fixed, replications=3, base_seed=5)
+    drawn = []
+
+    def counted(*args, _orig=probgen.gen_correlated_gaussian):
+        drawn.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(probgen, "gen_correlated_gaussian", counted)
+    rows = support_probability_sweep(spec, Penalty.L0, workers=2)
+    assert len(drawn) == spec.replications * (len(values) if varied == "nu" else 1)
+    monkeypatch.undo()
+
+    want = []
+    for value in values:
+        wins = 0
+        for rep in range(spec.replications):
+            draw = {**fixed, varied: int(value) if varied == "s" else value,
+                    "seed": experiments._task_seed(spec.base_seed, rep)}
+            problem = gen_problem(**draw)
+            _, x_best, _ = select_bic(run_full_path(problem.op, problem.y, Penalty.L0), problem.y)
+            wins += reconstruction_metrics(x_best, problem.x_true).exact_support
+        want.append((float(value), wins / spec.replications))
+    assert rows == want
+    assert 0 < sum(rate for _, rate in rows) < len(values)  # the rates are not all 0 or 1
 
 
 def test_sweep_spec_validation():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ishtc import solver
 from ishtc.linop import SensingOperator, dense_operator, normalize_columns
+from ishtc.modelselect import select_bic
 from ishtc.probgen import gen_problem
 from ishtc.solver import (
     DivergenceError,
@@ -21,6 +22,7 @@ from ishtc.solver import (
     theoretical_error_bound,
 )
 from ishtc.thresholding import Penalty, threshold_vector
+from test_acceptance import _guarantee_outcome
 
 
 def _orthonormal_op(n, p, seed):
@@ -266,6 +268,75 @@ def test_carried_residual_diverges_where_recomputing_loop_does():
     op, y = _diverging_instance()
     cfg = SolverConfig(penalty=Penalty.L1, gamma=0.8, lambda_star="path", path_len_N=100,
                        kmax=40)
+    with pytest.raises(DivergenceError) as want:
+        _recomputing_loop(op, y, cfg, None)
+    with pytest.raises(DivergenceError) as got:
+        continuation_solve(op, y, cfg)
+    assert (got.value.lam, got.value.level, got.value.inner_k) == (
+        want.value.lam, want.value.level, want.value.inner_k)
+
+
+def _fallback_steps(monkeypatch):
+    """Count the solver's two-matvec steps; returns the one-item counter."""
+    steps = [0]
+
+    def counted(*args, _orig=solver.inner_iterate):
+        steps[0] += 1
+        return _orig(*args)
+
+    monkeypatch.setattr(solver, "inner_iterate", counted)
+    return steps
+
+
+def _assert_cached_route_matches_oracle(op, y, cfg):
+    """Same levels, stop and support at every level as the two-matvec
+    oracle, residual norms equal to 1e-9 relative, and the same BIC pick."""
+    assert op.kind == "dense" and op.n * op.p >= solver.GRAM_MIN_SIZE
+    ref = _recomputing_loop(op, y, cfg, None)
+    _, path = continuation_solve(op, y, cfg)
+    assert np.array_equal(path.lambdas, ref["lambdas"])
+    assert path.stop_reason == ref["stop_reason"]
+    assert len(path.solutions) == len(ref["solutions"])
+    for level, (got, want) in enumerate(zip(path.solutions, ref["solutions"])):
+        assert np.array_equal(np.flatnonzero(got), np.flatnonzero(want)), level
+    np.testing.assert_allclose(path.residual_norms, ref["residual_norms"], rtol=1e-9, atol=0)
+    fields = [f.name for f in dataclasses.fields(PathResult)]
+    want_lam, want_x, _ = select_bic(PathResult(**{f: ref[f] for f in fields}), y)
+    got_lam, got_x, _ = select_bic(path, y)
+    assert got_lam == want_lam
+    assert np.array_equal(np.flatnonzero(got_x), np.flatnonzero(want_x))
+    return path
+
+
+@pytest.mark.parametrize("s, seed", [(10, 0), (40, 1), (70, 2)])
+@pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
+def test_cached_route_matches_two_matvec_oracle(s, seed, penalty, monkeypatch):
+    problem = gen_problem("gaussian", n=500, p=1000, s=s, dr=100.0, sigma=1e-2, seed=seed)
+    steps = _fallback_steps(monkeypatch)
+    cfg = SolverConfig(penalty=penalty)
+    path = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg)
+    assert steps[0] < cfg.kmax * (len(path) - 1)  # the cached route ran
+
+
+@pytest.mark.parametrize("n, p, s, penalty", [(500, 1000, 100, Penalty.L1),
+                                              (256, 1024, 40, Penalty.L1)])
+def test_cached_route_falls_back_when_the_cache_fills(n, p, s, penalty, monkeypatch):
+    """Supports past n // 4 columns take the two-matvec step mid-path."""
+    problem = gen_problem("gaussian", n=n, p=p, s=s, dr=100.0, sigma=1e-2, seed=0)
+    steps = _fallback_steps(monkeypatch)
+    cfg = SolverConfig(penalty=penalty)
+    path = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg)
+    assert 0 < steps[0] < cfg.kmax * (len(path) - 1)
+
+
+def test_cached_route_diverges_where_the_oracle_does():
+    rng = np.random.default_rng(3)
+    op = normalize_columns(rng.standard_normal((512, 512)))
+    x0 = np.zeros(512)
+    x0[rng.choice(512, 256, replace=False)] = rng.choice([-1.0, 1.0], 256)
+    y = op.apply(x0)
+    assert op.n * op.p >= solver.GRAM_MIN_SIZE
+    cfg = SolverConfig(penalty=Penalty.L1, path_len_N=200)
     with pytest.raises(DivergenceError) as want:
         _recomputing_loop(op, y, cfg, None)
     with pytest.raises(DivergenceError) as got:
@@ -566,6 +637,24 @@ def test_guarantee_rules_match_the_closed_forms(penalty, ms, ratio, eps):
     assert theoretical_error_bound(theory, penalty) == error(ms, c, eps)
     want, ulps = stop(ms, c, eps), 4 if penalty is Penalty.L0 else 0
     assert abs(lambda_star(theory, penalty) - want) <= ulps * math.ulp(want)
+
+
+def test_ihtc_guarantee_end_to_end_on_criterion_3_instances():
+    """Criterion 3's s=2 instances (Gaussian 500x1000, sigma=1e-3, dr=10,
+    seeds 0-99) under the hard penalty, with the cut t = 2/(1-2*mu*s) and
+    gamma at the midpoint of its allowed range: supp(x*) stays inside the
+    truth and the error bound holds, and the support is exact wherever the
+    smallest true magnitude clears the bound."""
+    outcomes = [
+        _guarantee_outcome(gen_problem("gaussian", n=500, p=1000, s=2, sigma=1e-3, dr=10.0,
+                                       seed=seed), 2, Penalty.L0)
+        for seed in range(100)
+    ]
+    qualified, held, exact_checked, exact_held = map(sum, zip(*outcomes))
+    assert qualified >= 90
+    assert held == qualified
+    assert exact_checked >= 50
+    assert exact_held == exact_checked
 
 
 def test_error_bound_zero_coherence():
