@@ -12,12 +12,6 @@ least :data:`RESTRICTED_MIN_SIZE`, it computes ``matrix[:, S] @ x[S]`` over
 the support ``S`` only; otherwise the full ``matrix @ x``. Both give the
 same product up to summation order (a few ulps), and either counts as one
 matvec. The adjoint always runs in full.
-
-The solver also reads a dense matrix directly. When ``n * p`` is at least
-``solver.GRAM_MIN_SIZE`` (2^18) a solve holds the Gram rows
-``matrix.T @ matrix[:, j]`` of the columns that have entered its support,
-at most ``n // 4`` of them, and takes its inner steps from them instead of
-from ``apply_adjoint``. That cache belongs to the solve, not the operator.
 """
 
 from __future__ import annotations
@@ -267,11 +261,7 @@ def make_partial_fft_haar(p: int, n: int, levels: int, seed: int) -> SensingOper
     one length-``M`` FFT of the selection-signed ``G_k^2``, folded at index
     ``2k mod M``: ``levels + 1`` FFTs of length at most ``p`` in all.
     """
-    if p < 2 or (p & (p - 1)) != 0:
-        raise ValueError(f"signal length must be a power of two, got {p}")
-    if not 1 <= n <= p:
-        raise ValueError(f"row count must satisfy 1 <= n <= {p}, got {n}")
-    _check_haar_dims(p, levels)
+    check_fft_haar_sizes(p, n, levels)
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(p, size=n, replace=False))
     rows.setflags(write=False)
@@ -291,6 +281,15 @@ def make_partial_fft_haar(p: int, n: int, levels: int, seed: int) -> SensingOper
         col_scale=col_scale,
         seed=seed,
     )
+
+
+def check_fft_haar_sizes(p: int, n: int, levels: int) -> None:
+    """Raise the ValueError :func:`make_partial_fft_haar` raises for these sizes."""
+    if p < 2 or (p & (p - 1)) != 0:
+        raise ValueError(f"signal length must be a power of two, got {p}")
+    if not 1 <= n <= p:
+        raise ValueError(f"row count must satisfy 1 <= n <= {p}, got {n}")
+    _check_haar_dims(p, levels)
 
 
 def _column_energy(p: int, rows: np.ndarray, levels: int) -> np.ndarray:

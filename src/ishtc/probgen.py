@@ -21,7 +21,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linop import SensingOperator, dense_operator, make_partial_fft_haar, normalize_columns
+from .linop import (SensingOperator, check_fft_haar_sizes, dense_operator, make_partial_fft_haar,
+                    normalize_columns)
 from .storage import read_array, write_array, write_manifest
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -121,7 +122,7 @@ def gen_operator(
     """The operator of :func:`gen_problem` with these arguments. It is drawn
     from the seed's matrix stream alone, so draws that differ only in ``s``,
     ``dr`` or ``sigma`` share it."""
-    _check_matrix_args(matrix_kind, n, nu)
+    _check_matrix_args(matrix_kind, n, p, nu, levels)
     mat_ss = _substream(seed, _MATRIX_STREAM)
     if matrix_kind == "bernoulli":
         return gen_bernoulli_matrix(n, p, mat_ss)
@@ -151,7 +152,7 @@ def gen_problem(
     ``gen_operator(matrix_kind, n, p, nu, seed, levels)``: a sweep passes it
     so that draws sharing those arguments draw their matrix once.
     """
-    check_problem_args(matrix_kind, n, p, s, dr, sigma, nu)
+    check_problem_args(matrix_kind, n, p, s, dr, sigma, nu, seed, levels)
     if op is None:
         op = gen_operator(matrix_kind, n, p, nu, seed, levels)
     x_true = gen_sparse_signal(p, s, dr, _substream(seed, _SIGNAL_STREAM))
@@ -183,18 +184,17 @@ def check_problem_args(
     levels: int = 2,
 ) -> None:
     """Raise the ValueError :func:`gen_problem` raises for these arguments'
-    noise level, mixing weight, matrix kind, measurement count, sparsity or
-    dynamic range, in that order, without drawing anything. It takes
-    ``gen_problem``'s arguments, so a list of draws can be checked before the
-    first is generated; ``seed`` and ``levels`` are not checked here, and the
-    operator constructors still check the sizes they are given."""
+    noise level, mixing weight, matrix kind, measurement count, fft-haar
+    sizes, sparsity or dynamic range, in that order, without drawing
+    anything. It takes ``gen_problem``'s arguments, so a list of draws can be
+    checked before the first is generated; ``seed`` is not checked."""
     if not 0 <= sigma < math.inf:  # also rejects NaN
         raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
-    _check_matrix_args(matrix_kind, n, nu)
+    _check_matrix_args(matrix_kind, n, p, nu, levels)
     _check_signal(p, s, dr)
 
 
-def _check_matrix_args(matrix_kind: str, n: int, nu: Optional[float]) -> None:
+def _check_matrix_args(matrix_kind: str, n: int, p: int, nu: Optional[float], levels: int) -> None:
     if nu is not None and not math.isfinite(nu):
         raise ValueError(f"mixing weight must be finite, got {nu}")
     if matrix_kind not in MATRIX_KINDS:
@@ -205,6 +205,8 @@ def _check_matrix_args(matrix_kind: str, n: int, nu: Optional[float]) -> None:
         _check_mixing_weight(nu)
     if not n >= 1:
         raise ValueError(f"measurement count must be >= 1, got {n}")
+    if matrix_kind == "fft-haar":
+        check_fft_haar_sizes(p, n, levels)
 
 
 def _check_mixing_weight(nu: float) -> None:

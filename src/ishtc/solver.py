@@ -11,16 +11,16 @@ A path-mode solve also ends at the first level whose support is
 :func:`saturated`: model selection scores it +inf, and the later levels,
 at smaller penalties, have been seen to stay saturated.
 
-Route rule. A dense operator with ``n * p`` at or above
-:data:`GRAM_MIN_SIZE` takes the cached route: the solve holds ``c = Psi^t y``
+Every step is :func:`inner_iterate`, and each level forms one residual
+``y - Psi x`` at its last iterate, for the divergence check, the path record
+and the next level's first step. Route rule: on a dense operator with
+``n * p`` at or above :data:`GRAM_MIN_SIZE` the solve holds ``c = Psi^t y``
 and the Gram row ``G[j] = Psi^t psi_j`` of each column that has entered the
-support (one gemv when it first enters), and a step is
-``x <- T(x + c - x[A] @ G[A])`` over the cached columns ``A``. The residual
-is formed once per level, by the forward product, for the divergence check
-and the path record. A step whose support would take the cache past
-``n // 4`` rows (a quarter of the matrix's bytes) runs
-:func:`inner_iterate`, the two-matvec step every smaller or matrix-free
-operator takes. Both routes compute the same step up to summation order.
+support (one gemv when it first enters), and a step's gradient is
+``x + c - x[A] @ G[A]`` over the cached columns ``A``. Other operators, and a
+step whose support would take the cache past ``n // 4`` rows (a quarter of
+the matrix's bytes), take ``x + Psi^t (y - Psi x)``, two matvecs. Both routes
+compute the same step up to summation order.
 """
 
 from __future__ import annotations
@@ -242,14 +242,19 @@ def inner_iterate(
     op: SensingOperator,
     y: np.ndarray,
     x: np.ndarray,
-    r: np.ndarray,
+    r: Optional[np.ndarray],
     lam: float,
     penalty: Penalty,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One thresholded gradient step at unit stepsize from ``x`` and its residual
-    ``r = y - Psi x``; returns the new iterate and residual. Exactly 2 matvecs."""
-    x_next = threshold_vector(x + op.apply_adjoint(r), lam, penalty)
-    return x_next, y - op.apply(x_next)
+    gram: Optional[_GramRows],
+) -> np.ndarray:
+    """One thresholded gradient step at unit stepsize from ``x``; returns the
+    new iterate. The gradient comes from ``gram`` when its cache holds the
+    support of ``x``, else from two matvecs: ``x + Psi^t r`` with ``r`` the
+    residual ``y - Psi x``, formed here when ``r`` is None."""
+    z = gram.step(x) if gram is not None else None
+    if z is None:
+        z = x + op.apply_adjoint(r if r is not None else y - op.apply(x))
+    return threshold_vector(z, lam, penalty)
 
 
 class _GramRows:
@@ -346,7 +351,7 @@ def continuation_solve(
 
     path_mode = config.lambda_star == "path"
     stop_reason = "path_len" if path_mode else "lambda_star"
-    # r is y - Psi x, or None after a cached step, which forms no residual.
+    # r is the residual y - Psi x of the level's first iterate.
     x, r = np.zeros(op.p), y
     solutions = [x]
     residual_norms = [y_norm]
@@ -354,18 +359,11 @@ def continuation_solve(
     for level, lam in enumerate(lambdas[1:], 1):
         # Overflow surfaces as the explicit divergence error below, so
         # numpy's own warnings are suppressed. A non-finite iterate makes the
-        # carried residual non-finite, so one check of its norm covers both.
+        # residual non-finite, so one check of its norm covers both.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(config.kmax):
-                z = gram.step(x) if gram is not None else None
-                if z is not None:
-                    x, r = threshold_vector(z, lam, config.penalty), None
-                else:
-                    if r is None:
-                        r = y - op.apply(x)
-                    x, r = inner_iterate(op, y, x, r, lam, config.penalty)
-            if r is None:
-                r = y - op.apply(x)
+            for k in range(config.kmax):
+                x = inner_iterate(op, y, x, r if k == 0 else None, lam, config.penalty, gram)
+            r = y - op.apply(x)
             rnorm = float(np.linalg.norm(r))
         if not math.isfinite(rnorm):
             raise DivergenceError(lam, level, config.kmax)

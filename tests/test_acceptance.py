@@ -78,24 +78,33 @@ def test_criterion_2_orthonormal_path_oracle():
                 assert np.max(np.abs(sol - ref)) <= 1e-12
 
 
-def _guarantee_outcome(prob, s, penalty=Penalty.L1):
-    """Check support containment and the l-inf bound with admissible constants.
-
-    Returns (qualifies, held, exact_checked, exact_held). Constants per
-    instance: the constant c whose cut is t = 2/(1 - 2*mu*s) (strictly
-    admissible; c = t for L1, t**2/2 for L0), gamma at the midpoint of its
-    allowed interval, stop level lambda_star(theory, penalty).
-    """
+def _guarantee_config(prob, s, penalty):
+    """Admissible constants for one instance, as (theory, config), or None
+    when the instance does not qualify: the constant c whose cut is
+    t = 2/(1 - 2*mu*s) (strictly admissible; c = t for L1, t**2/2 for L0),
+    gamma at the midpoint of its allowed interval, stop level
+    lambda_star(theory, penalty)."""
     mu = mutual_coherence(prob.op)
     if mu * s >= 0.5:
-        return False, False, False, False
+        return None
     c = penalty.level(2.0 / (1.0 - 2.0 * mu * s))
     theory = TheoryParams(mu_s=mu * s, c=c, epsilon=prob.epsilon)
     gb = gamma_lower_bound(theory, penalty)
     gam = gb + 0.5 * (1.0 - gb)
     if not 0.0 < gam < 1.0:
+        return None
+    return theory, SolverConfig(penalty=penalty, gamma=gam,
+                                lambda_star=lambda_star(theory, penalty))
+
+
+def _guarantee_outcome(prob, s, penalty=Penalty.L1):
+    """Check support containment and the l-inf bound with the constants of
+    :func:`_guarantee_config`. Returns (qualifies, held, exact_checked,
+    exact_held)."""
+    constants = _guarantee_config(prob, s, penalty)
+    if constants is None:
         return False, False, False, False
-    cfg = SolverConfig(penalty=penalty, gamma=gam, lambda_star=lambda_star(theory, penalty))
+    theory, cfg = constants
     x_star, _ = continuation_solve(prob.op, prob.y, cfg)
     bound = theoretical_error_bound(theory, penalty)
     sup_pred = set(np.flatnonzero(x_star).tolist())

@@ -199,6 +199,22 @@ def test_solve_rerun_byte_identical_small(tmp_path):
     assert m1 == m2
 
 
+def test_path_rerun_byte_identical_on_the_cached_route(tmp_path):
+    """500x1000 is above the cached-route floor, and at s=100 the support
+    outgrows the Gram rows mid-path, so one solve takes both routes."""
+    prob_dir = tmp_path / "prob"
+    assert main(["gen", "--kind", "gaussian", "--n", "500", "--p", "1000", "--s", "100",
+                 "--dr", "100", "--sigma", "0.01", "--seed", "0", "--out", str(prob_dir)]) == EXIT_OK
+    runs = []
+    for name in ("r1", "r2"):
+        out = tmp_path / name
+        assert main(["path", "--problem", str(prob_dir), "--penalty", "l1",
+                     "--out", str(out)]) == EXIT_OK
+        runs.append(out)
+    for name in ("x_best.bin", "path.csv", "scores.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     prob_dir = tmp_path / "prob"
     _gen_small(prob_dir)
@@ -606,6 +622,13 @@ PHASE = ["phase", "--p", "8", "--trials", "1", "--path-len", "5"]
      EXIT_SCHEMA, "mixing weight must be finite"),
     ([*SWEEP, "--varied", "s", "--values", "2", "--n", "0"], None, EXIT_SCHEMA,
      "measurement count must be >= 1"),
+    # The fft-haar sizes: p a power of two, 1 <= n <= p, and 2**levels dividing p.
+    (["bench", "--matrix-kind", "fft-haar", "--sizes", "1024,1000", "--replications", "3"], None,
+     EXIT_SCHEMA, "signal length must be a power of two, got 1000"),
+    ([*SWEEP, "--varied", "s", "--values", "1", "--matrix-kind", "fft-haar", "--n", "16"], None,
+     EXIT_SCHEMA, "row count must satisfy 1 <= n <= 8, got 16"),
+    ([*SWEEP, "--varied", "s", "--values", "1", "--matrix-kind", "fft-haar", "--n", "1", "--p",
+      "2", "--s", "1"], None, EXIT_SCHEMA, "signal length 2 is not divisible by 2**2"),
     # A config-file list item obeys the rules of a config scalar.
     (["bench", "--replications", "1"], {"sizes": [320.7]}, EXIT_SCHEMA,
      "sizes must be an integer, got 320.7"),
@@ -622,7 +645,8 @@ PHASE = ["phase", "--p", "8", "--trials", "1", "--path-len", "5"]
         "config-list", "config-penalty-l2", "config-lambda-star-soon", "gen-nu-negative",
         "phase-grid-0", "sweep-sigma-nan-later", "sweep-sigma-negative-later",
         "sweep-s-above-p-later", "sweep-s-0-later", "sweep-nu-negative-later",
-        "sweep-nu-inf-later", "sweep-n-0", "config-sizes-item-320.7",
+        "sweep-nu-inf-later", "sweep-n-0", "bench-fft-haar-p-1000", "sweep-fft-haar-n-above-p",
+        "sweep-fft-haar-depth", "config-sizes-item-320.7",
         "config-delta-grid-item-true", "config-values-item-true", "config-delta-grid-object",
         "config-sizes-scalar"])
 def test_refusals_print_one_json_record(argv, config, code, fragment, tmp_path, capsys,

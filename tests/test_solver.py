@@ -22,7 +22,7 @@ from ishtc.solver import (
     theoretical_error_bound,
 )
 from ishtc.thresholding import Penalty, threshold_vector
-from test_acceptance import _guarantee_outcome
+from test_acceptance import _guarantee_config, _guarantee_outcome
 
 
 def _orthonormal_op(n, p, seed):
@@ -277,22 +277,27 @@ def test_carried_residual_diverges_where_recomputing_loop_does():
 
 
 def _fallback_steps(monkeypatch):
-    """Count the solver's two-matvec steps; returns the one-item counter."""
-    steps = [0]
+    """Count the two-matvec steps of the solves run after this call by their
+    ``SensingOperator.apply_adjoint`` calls; returns the one-item counter. A
+    cached solve's first adjoint forms ``c = Psi^t y`` and is no step, so the
+    counter starts at -1."""
+    steps = [-1]
 
-    def counted(*args, _orig=solver.inner_iterate):
+    def counted(self, *args, _orig=SensingOperator.apply_adjoint):
         steps[0] += 1
-        return _orig(*args)
+        return _orig(self, *args)
 
-    monkeypatch.setattr(solver, "inner_iterate", counted)
+    monkeypatch.setattr(SensingOperator, "apply_adjoint", counted)
     return steps
 
 
-def _assert_cached_route_matches_oracle(op, y, cfg):
+def _assert_cached_route_matches_oracle(op, y, cfg, monkeypatch):
     """Same levels, stop and support at every level as the two-matvec
-    oracle, residual norms equal to 1e-9 relative, and the same BIC pick."""
+    oracle, residual norms equal to 1e-9 relative, and the same BIC pick.
+    Returns the path and the solve's count of two-matvec steps."""
     assert op.kind == "dense" and op.n * op.p >= solver.GRAM_MIN_SIZE
     ref = _recomputing_loop(op, y, cfg, None)
+    steps = _fallback_steps(monkeypatch)
     _, path = continuation_solve(op, y, cfg)
     assert np.array_equal(path.lambdas, ref["lambdas"])
     assert path.stop_reason == ref["stop_reason"]
@@ -305,17 +310,16 @@ def _assert_cached_route_matches_oracle(op, y, cfg):
     got_lam, got_x, _ = select_bic(path, y)
     assert got_lam == want_lam
     assert np.array_equal(np.flatnonzero(got_x), np.flatnonzero(want_x))
-    return path
+    return path, steps[0]
 
 
 @pytest.mark.parametrize("s, seed", [(10, 0), (40, 1), (70, 2)])
 @pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
 def test_cached_route_matches_two_matvec_oracle(s, seed, penalty, monkeypatch):
     problem = gen_problem("gaussian", n=500, p=1000, s=s, dr=100.0, sigma=1e-2, seed=seed)
-    steps = _fallback_steps(monkeypatch)
     cfg = SolverConfig(penalty=penalty)
-    path = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg)
-    assert steps[0] < cfg.kmax * (len(path) - 1)  # the cached route ran
+    path, steps = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg, monkeypatch)
+    assert steps < cfg.kmax * (len(path) - 1)  # the cached route ran
 
 
 @pytest.mark.parametrize("n, p, s, penalty", [(500, 1000, 100, Penalty.L1),
@@ -323,10 +327,41 @@ def test_cached_route_matches_two_matvec_oracle(s, seed, penalty, monkeypatch):
 def test_cached_route_falls_back_when_the_cache_fills(n, p, s, penalty, monkeypatch):
     """Supports past n // 4 columns take the two-matvec step mid-path."""
     problem = gen_problem("gaussian", n=n, p=p, s=s, dr=100.0, sigma=1e-2, seed=0)
-    steps = _fallback_steps(monkeypatch)
     cfg = SolverConfig(penalty=penalty)
-    path = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg)
-    assert 0 < steps[0] < cfg.kmax * (len(path) - 1)
+    path, steps = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg, monkeypatch)
+    assert 0 < steps < cfg.kmax * (len(path) - 1)
+
+
+def test_each_level_forms_one_residual_on_the_cached_route(monkeypatch):
+    """Forward products: one per level, plus one for each two-matvec step
+    that is not the first of its level (the first reuses the level's
+    residual). The solve falls back mid-path, so both routes run."""
+    problem = gen_problem("gaussian", n=500, p=1000, s=100, dr=100.0, sigma=1e-2, seed=0)
+    cfg = SolverConfig(penalty=Penalty.L1)
+    forward, two_matvec = [], []  # two_matvec[i]: whether step i took an adjoint
+
+    def step(*args, _orig=solver.inner_iterate):
+        two_matvec.append(False)
+        return _orig(*args)
+
+    def adjoint(self, *args, _orig=SensingOperator.apply_adjoint):
+        if two_matvec:  # the first adjoint forms c = Psi^t y, before any step
+            two_matvec[-1] = True
+        return _orig(self, *args)
+
+    def apply(self, *args, _orig=SensingOperator.apply):
+        forward.append(1)
+        return _orig(self, *args)
+
+    monkeypatch.setattr(solver, "inner_iterate", step)
+    monkeypatch.setattr(SensingOperator, "apply_adjoint", adjoint)
+    monkeypatch.setattr(SensingOperator, "apply", apply)
+    _, path = continuation_solve(problem.op, problem.y, cfg)
+    levels = len(path) - 1
+    assert len(two_matvec) == cfg.kmax * levels
+    later = sum(t and i % cfg.kmax != 0 for i, t in enumerate(two_matvec))
+    assert 0 < later and not all(two_matvec)
+    assert len(forward) == levels + later
 
 
 def test_cached_route_diverges_where_the_oracle_does():
@@ -358,7 +393,8 @@ def test_overflowing_residual_norm_is_divergence():
     assert np.all(np.isfinite(before.residual_norms))
     x = before.solutions[-1]
     with np.errstate(over="ignore"):
-        x, r = inner_iterate(op, y, x, y - op.apply(x), err.value.lam, Penalty.L1)
+        x = inner_iterate(op, y, x, y - op.apply(x), err.value.lam, Penalty.L1, None)
+        r = y - op.apply(x)
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(r))
         assert np.linalg.norm(r) == math.inf
 
@@ -392,17 +428,16 @@ def test_every_operator_application_is_counted(kind, path_len, penalty, lambda0,
 def test_inner_iterate_orthonormal_collapse():
     op = _orthonormal_op(12, 12, seed=8)
     y = np.random.default_rng(9).standard_normal(12)
-    out, r = inner_iterate(op, y, np.zeros(12), y, 0.4, Penalty.L1)
+    out = inner_iterate(op, y, np.zeros(12), y, 0.4, Penalty.L1, None)
     ref = threshold_vector(op.apply_adjoint(y), 0.4, Penalty.L1)
     np.testing.assert_allclose(out, ref, atol=1e-14)
-    np.testing.assert_allclose(r, y - op.apply(out), atol=1e-14)
 
 
 def test_inner_iterate_fixed_point():
     op = _orthonormal_op(12, 12, seed=8)
     y = np.random.default_rng(10).standard_normal(12)
-    fp, r = inner_iterate(op, y, np.zeros(12), y, 0.4, Penalty.L1)
-    again, _ = inner_iterate(op, y, fp, r, 0.4, Penalty.L1)
+    fp = inner_iterate(op, y, np.zeros(12), y, 0.4, Penalty.L1, None)
+    again = inner_iterate(op, y, fp, None, 0.4, Penalty.L1, None)
     assert np.max(np.abs(again - fp)) <= 1e-12
 
 
@@ -416,9 +451,29 @@ def test_inner_iterate_matches_naive_step():
     lam = 0.2
     mat = np.asarray(op.matrix)
     naive = threshold_vector(x + mat.T @ (y - mat @ x), lam, Penalty.L0)
-    out, r = inner_iterate(op, y, x, y - op.apply(x), lam, Penalty.L0)
+    out = inner_iterate(op, y, x, y - op.apply(x), lam, Penalty.L0, None)
     np.testing.assert_allclose(out, naive, atol=1e-13)
-    np.testing.assert_allclose(r, y - mat @ naive, atol=1e-13)
+    # Without a residual the step forms it, with the same bits.
+    assert np.array_equal(inner_iterate(op, y, x, None, lam, Penalty.L0, None), out)
+
+
+@pytest.mark.parametrize("support", [3, 11], ids=["cached", "past-the-cache"])
+def test_inner_iterate_gram_step(support):
+    """With the Gram rows the step matches the two-matvec step to roundoff;
+    a support past the n // 4 rows takes the two-matvec step, bit for bit."""
+    rng = np.random.default_rng(23)
+    op = normalize_columns(rng.standard_normal((40, 80)))
+    y = rng.standard_normal(40)
+    x = np.zeros(80)
+    x[rng.choice(80, support, replace=False)] = rng.standard_normal(support)
+    gram = solver._GramRows(op.matrix, op.apply_adjoint(y))
+    got = inner_iterate(op, y, x, None, 0.05, Penalty.L1, gram)
+    want = inner_iterate(op, y, x, None, 0.05, Penalty.L1, None)
+    if support > 40 // 4:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert gram.size == support
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +710,31 @@ def test_ihtc_guarantee_end_to_end_on_criterion_3_instances():
     assert held == qualified
     assert exact_checked >= 50
     assert exact_held == exact_checked
+
+
+@pytest.mark.parametrize("sigma", [1e-4, 1e-2])
+@pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
+def test_rate_on_criterion_3_instances(sigma, penalty):
+    """The paper's rate on criterion 3's s=2 instances (Gaussian 500x1000,
+    dr=10, seeds 0-39) with its admissible constants: supp(x*) stays inside
+    the truth, the sup-norm error meets the bound, and the solve runs at
+    most ceil(ln(lambda*/lambda0)/ln gamma) levels, none when lambda* is at
+    or above lambda0."""
+    qualified = 0
+    for seed in range(40):
+        prob = gen_problem("gaussian", n=500, p=1000, s=2, sigma=sigma, dr=10.0, seed=seed)
+        constants = _guarantee_config(prob, 2, penalty)
+        if constants is None:
+            continue
+        qualified += 1
+        theory, cfg = constants
+        x_star, path = continuation_solve(prob.op, prob.y, cfg)
+        assert set(np.flatnonzero(x_star)) <= set(np.flatnonzero(prob.x_true)), seed
+        error = float(np.max(np.abs(x_star - prob.x_true)))
+        assert error <= theoretical_error_bound(theory, penalty), seed
+        ratio = math.log(cfg.lambda_star / path.lambdas[0]) / math.log(cfg.gamma)
+        assert len(path) - 1 <= max(0, math.ceil(ratio)), seed
+    assert qualified >= 36
 
 
 def test_error_bound_zero_coherence():
