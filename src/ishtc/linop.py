@@ -3,8 +3,10 @@
 Two realizations of the linear map ``R^p -> R^n`` are provided: a dense
 matrix (stored column-major, since column access dominates normalization and
 coherence work) and a matrix-free composition of an inverse orthonormal Haar
-transform, a real-valued unitary DFT, and a seeded row selection. Operators
-are immutable after construction and keep no per-run state.
+transform with a seeded selection of rows of the real unitary DFT, which
+reads and writes its rows straight from numpy's ``rfft`` buffer through a
+row map built once. Operators are immutable after construction and keep no
+per-run state.
 
 The dense forward map is charged for the support of its input, not for p:
 when fewer than ``p / 8`` entries of ``x`` are nonzero and ``n * p`` is at
@@ -84,44 +86,6 @@ def _check_haar_dims(p: int, levels: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Real-valued unitary DFT
-# ---------------------------------------------------------------------------
-#
-# Row order of the p x p orthogonal matrix (p even):
-#   row 0            : DC, entries 1/sqrt(p)
-#   rows 1 .. p/2-1  : sqrt(2/p) * cos(2 pi k j / p), k = 1 .. p/2-1
-#   row p/2          : Nyquist, entries (-1)^j / sqrt(p)
-#   rows p/2+1 .. p-1: sqrt(2/p) * sin(2 pi k j / p), k = 1 .. p/2-1
-#
-# Cos/sin rows carry the sqrt(2) so the stack stays orthonormal; DC and
-# Nyquist rows are unscaled.
-
-
-def real_dft(v: np.ndarray) -> np.ndarray:
-    p = v.size
-    half = p // 2
-    c = np.fft.rfft(v)
-    root = math.sqrt(p)
-    out = np.empty(p)
-    out[0] = c[0].real / root
-    out[1:half] = math.sqrt(2.0) * c[1:half].real / root
-    out[half] = c[half].real / root
-    out[half + 1 :] = -math.sqrt(2.0) * c[1:half].imag / root
-    return out
-
-
-def real_dft_adjoint(u: np.ndarray) -> np.ndarray:
-    p = u.size
-    half = p // 2
-    scale = math.sqrt(p) / math.sqrt(2.0)
-    c = np.empty(half + 1, dtype=np.complex128)
-    c[0] = u[0] * math.sqrt(p)
-    c[half] = u[half] * math.sqrt(p)
-    c[1:half] = scale * (u[1:half] - 1j * u[half + 1 :])
-    return np.fft.irfft(c, n=p)
-
-
-# ---------------------------------------------------------------------------
 # Operator
 # ---------------------------------------------------------------------------
 
@@ -132,8 +96,11 @@ class SensingOperator:
 
     ``kind`` is ``"dense"`` or ``"partial-fft-haar"``. Dense operators carry
     the column-major matrix in ``matrix``; the implicit kind carries the
-    selected frequency-row indices, the wavelet depth, and the per-column
-    scale that restores unit column norms.
+    sorted selected rows of the real unitary DFT, the wavelet depth, the
+    per-column scale that restores unit column norms, and the row map that
+    :func:`make_partial_fft_haar` derives from the rows once: row ``i`` reads
+    ``rfft_weight[i] * rfft(v).view(float64)[rfft_index[i]]``, the buffer of
+    length ``p + 2`` that interleaves each bin's real and imaginary parts.
     """
 
     n: int
@@ -143,6 +110,8 @@ class SensingOperator:
     rows: Optional[np.ndarray] = None
     levels: int = 0
     col_scale: Optional[np.ndarray] = None
+    rfft_index: Optional[np.ndarray] = None
+    rfft_weight: Optional[np.ndarray] = None
     seed: Optional[int] = field(default=None, compare=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -160,7 +129,8 @@ class SensingOperator:
                 support = x.nonzero()[0]
                 return self.matrix[:, support] @ x[support]
             return self.matrix @ x
-        return real_dft(haar_inverse(x / self.col_scale, self.levels))[self.rows]
+        spectrum = np.fft.rfft(haar_inverse(x / self.col_scale, self.levels))
+        return self.rfft_weight * spectrum.view(np.float64)[self.rfft_index]
 
     def apply_adjoint(self, r: np.ndarray) -> np.ndarray:
         """Adjoint map ``r -> Psi^t r``; counts as one matvec."""
@@ -169,14 +139,18 @@ class SensingOperator:
             raise ValueError(f"expected residual of length {self.n}, got shape {r.shape}")
         if self.kind == "dense":
             return self.matrix.T @ r
-        full = np.zeros(self.p)
-        full[self.rows] = r
-        return haar_forward(real_dft_adjoint(full), self.levels) / self.col_scale
+        spectrum = np.zeros(self.p + 2)
+        spectrum[self.rfft_index] = self.rfft_weight * r
+        # irfft counts each bin between DC and Nyquist twice.
+        spectrum[2 : self.p] *= 0.5
+        v = np.fft.irfft(spectrum.view(np.complex128), n=self.p, norm="forward")
+        return haar_forward(v, self.levels) / self.col_scale
 
     def densify(self) -> np.ndarray:
-        """Materialize the operator as an ``n x p`` array (diagnostics only)."""
+        """Materialize the operator as an ``n x p`` array (diagnostics only);
+        a dense operator returns its read-only matrix itself."""
         if self.kind == "dense":
-            return np.array(self.matrix)
+            return self.matrix
         cols = np.empty((self.n, self.p), order="F")
         e = np.zeros(self.p)
         for j in range(self.p):
@@ -234,7 +208,8 @@ def mutual_coherence(op: SensingOperator) -> float:
             "for an implicit operator"
         )
     mat = op.densify()
-    gram = np.abs(mat.T @ mat)
+    gram = mat.T @ mat
+    np.abs(gram, out=gram)
     np.fill_diagonal(gram, -1.0)
     return float(min(gram.max(), 1.0))
 
@@ -244,10 +219,16 @@ def make_partial_fft_haar(p: int, n: int, levels: int, seed: int) -> SensingOper
 
     The map is ``x -> S F W^{-1} (x / d)`` where ``W^{-1}`` is the inverse
     orthonormal Haar transform at the given depth, ``F`` the real unitary
-    DFT above, ``S`` a seeded uniform-without-replacement selection of ``n``
-    of the ``p`` real frequency rows, and ``d`` the vector of column norms
-    of the unscaled composition, so every column of the result is unit-norm.
+    DFT, ``S`` a seeded uniform-without-replacement selection of ``n`` of
+    the ``p`` rows of ``F``, and ``d`` the vector of column norms of the
+    unscaled composition, so every column of the result is unit-norm.
     ``p`` must be a power of two.
+
+    ``F`` is never formed: ``S F v`` reads ``C = rfft(v).view(float64)``,
+    the ``p + 2`` real and imaginary parts of the half spectrum, through
+    the operator's row map. DC (row 0) is ``C[0] / sqrt(p)``; cos row ``k``
+    in ``1 .. p/2-1`` is ``sqrt(2/p) C[2k]``; Nyquist (row ``p/2``) is
+    ``C[p] / sqrt(p)``; sin row ``p/2 + k`` is ``-sqrt(2/p) C[2k+1]``.
 
     ``d`` comes in closed form, in O(p log p) for any ``n``. The Haar atoms
     fall into ``levels + 1`` blocks (the approximation block, then the
@@ -264,9 +245,11 @@ def make_partial_fft_haar(p: int, n: int, levels: int, seed: int) -> SensingOper
     check_fft_haar_sizes(p, n, levels)
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(p, size=n, replace=False))
-    rows.setflags(write=False)
+    index, weight = _row_map(p, rows)
+    for a in (rows, index, weight):
+        a.setflags(write=False)
 
-    sq = _column_energy(p, rows, levels)
+    sq = _column_energy(p, index, weight, levels)
     zero = np.flatnonzero(sq == 0.0)
     if zero.size:
         raise ValueError(f"column {int(zero[0])} is the zero vector after row selection")
@@ -279,6 +262,8 @@ def make_partial_fft_haar(p: int, n: int, levels: int, seed: int) -> SensingOper
         rows=rows,
         levels=levels,
         col_scale=col_scale,
+        rfft_index=index,
+        rfft_weight=weight,
         seed=seed,
     )
 
@@ -292,21 +277,32 @@ def check_fft_haar_sizes(p: int, n: int, levels: int) -> None:
     _check_haar_dims(p, levels)
 
 
-def _column_energy(p: int, rows: np.ndarray, levels: int) -> np.ndarray:
+def _row_map(p: int, rows: np.ndarray) -> tuple:
+    """The positions in ``rfft(v).view(float64)`` and the weights of the
+    selected rows of ``F`` (the table in :func:`make_partial_fft_haar`)."""
+    half = p // 2
+    sine = rows > half
+    index = np.where(sine, 2 * (rows - half) + 1, 2 * rows)
+    weight = np.where(sine, -math.sqrt(2.0 / p), math.sqrt(2.0 / p))
+    weight[(rows == 0) | (rows == half)] = 1.0 / math.sqrt(p)
+    return index, weight
+
+
+def _column_energy(p: int, index: np.ndarray, weight: np.ndarray, levels: int) -> np.ndarray:
     """Squared column norms of ``S F W^{-1}``, by the closed form in
-    :func:`make_partial_fft_haar`.
+    :func:`make_partial_fft_haar`, for the row map ``(index, weight)``.
 
     Each selected cos or sin row gives an atom at least ``2 sin^2(pi/p)``
     times that row's share of its block's constant, so FFT roundoff (about
     ``1e-16 log2 p`` of the constant) cannot make a nonzero column negative
     for any ``p`` below 2**24.
     """
-    half = p // 2
-    ends = rows[(rows == 0) | (rows == half)]
-    cos_k = rows[(rows > 0) & (rows < half)]
-    sin_k = rows[rows > half] - half
-    freq = np.concatenate([cos_k, sin_k])
-    sign = np.repeat([1.0, -1.0], [cos_k.size, sin_k.size])
+    # DC and Nyquist sit at 0 and p; every row reads frequency index // 2,
+    # and the weight's sign tells cos rows from sin rows.
+    edge = index % p == 0
+    ends = index[edge] // 2
+    freq = index[~edge] // 2
+    sign = np.sign(weight[~edge])
     sq = np.empty(p)
     # (first coefficient, depth, is detail) for the approximation block, then
     # the detail blocks in haar_forward's coefficient layout.

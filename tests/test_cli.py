@@ -3,11 +3,15 @@ import math
 import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ishtc
 from ishtc import experiments, solver
 from ishtc.cli import COMMANDS, EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
 from ishtc.probgen import gen_problem, load_problem
@@ -714,6 +718,28 @@ def test_fft_haar_gen_and_path_rerun_byte_identical(tmp_path):
     loaded = load_problem(prob_dir)
     assert loaded.op.col_scale.tobytes() == built.op.col_scale.tobytes()
     np.testing.assert_array_equal(loaded.op.rows, built.op.rows)
+
+
+def test_fft_haar_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """gen then path --penalty l0 at 5320x8192 (the cli-fft-haar size), run in
+    child processes at OPENBLAS_NUM_THREADS=1 and 2, write the same bytes:
+    the matrix-free operator makes no BLAS call whose split depends on it."""
+    script = ("import json, sys\nfrom ishtc.cli import main\n"
+              "for argv in sys.argv[1:]:\n    assert main(json.loads(argv)) == 0\n")
+    src = str(Path(ishtc.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        run = tmp_path / f"t{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        gen = ["gen", "--kind", "fft-haar", "--n", "5320", "--p", "8192", "--s", "1976",
+               "--levels", "2", "--dr", "100", "--sigma", "1e-4", "--seed", "3",
+               "--out", str(run / "prob")]
+        path = ["path", "--problem", str(run / "prob"), "--penalty", "l0", "--out", str(run / "sel")]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(gen), json.dumps(path)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("prob/y.bin", "sel/x_best.bin", "sel/path.csv", "sel/scores.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
 
 
 def test_manifest_records_the_host(tmp_path, monkeypatch):

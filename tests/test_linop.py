@@ -11,14 +11,13 @@ from ishtc.linop import (
     RESTRICTED_MIN_SIZE,
     SensingOperator,
     _column_energy,
+    _row_map,
     dense_operator,
     haar_forward,
     haar_inverse,
     make_partial_fft_haar,
     mutual_coherence,
     normalize_columns,
-    real_dft,
-    real_dft_adjoint,
 )
 
 
@@ -168,6 +167,16 @@ def test_coherence_exhaustive_pair_oracle():
     assert 0.0 <= mu <= 1.0
 
 
+def test_coherence_of_a_dense_operator_reads_its_matrix_in_place():
+    """densify() of a dense operator is its read-only matrix, not a copy, and
+    coherence is the largest off-diagonal entry of ``|A'A|`` bit for bit."""
+    op = _random_unit_columns(30, 60, seed=17)
+    assert np.shares_memory(op.densify(), op.matrix) and not op.densify().flags.writeable
+    gram = np.abs(op.matrix.T @ op.matrix)
+    np.fill_diagonal(gram, -1.0)
+    assert mutual_coherence(op) == float(gram.max())
+
+
 def test_coherence_budget_error():
     op = make_partial_fft_haar(2 * COHERENCE_BUDGET_P, 16, levels=1, seed=0)
     with pytest.raises(ValueError, match="over budget"):
@@ -231,13 +240,46 @@ def test_haar_orthonormal():
     assert np.linalg.norm(haar_forward(x, 2)) == pytest.approx(np.linalg.norm(x), rel=1e-13)
 
 
-def test_real_dft_orthonormal_and_adjoint():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(16)
-    r = rng.standard_normal(16)
-    fx = real_dft(x)
-    assert np.linalg.norm(fx) == pytest.approx(np.linalg.norm(x), rel=1e-13)
-    assert float(fx @ r) == pytest.approx(float(x @ real_dft_adjoint(r)), abs=1e-12)
+def _explicit_partial_fft_haar(p, rows, levels):
+    """Oracle: ``S F W^{-1}`` with ``F``'s rows written out from np.cos and
+    np.sin (DC, cos k = 1 .. p/2-1, Nyquist, sin k = 1 .. p/2-1) and the
+    columns of ``W^{-1}`` written out as Haar atoms in haar_forward's layout."""
+    j = np.arange(p)
+    k = np.arange(1, p // 2)[:, None]
+    dft = np.vstack([
+        np.full(p, 1.0 / np.sqrt(p)),
+        np.sqrt(2.0 / p) * np.cos(2 * np.pi * k * j / p),
+        (-1.0) ** j / np.sqrt(p),
+        np.sqrt(2.0 / p) * np.sin(2 * np.pi * k * j / p),
+    ])
+    atoms = []
+    for lev, detail in [(levels, False)] + [(lev, True) for lev in range(levels, 0, -1)]:
+        step = 1 << lev
+        g = np.zeros(p)
+        g[:step] = 1.0 / np.sqrt(step)
+        if detail:
+            g[step // 2 : step] *= -1.0
+        atoms += [np.roll(g, m * step) for m in range(p // step)]
+    return dft[rows] @ np.column_stack(atoms)
+
+
+@pytest.mark.parametrize("p, n, levels, need", [(64, 40, 2, ()), (8, 5, 2, (0, 4))],
+                         ids=["64x40", "8x5-dc-nyquist"])
+def test_partial_fft_haar_matches_explicit_rows(p, n, levels, need):
+    """apply, apply_adjoint and col_scale agree to 1e-12 with ``S F W^{-1} D^{-1}``
+    built from explicit rows; at p=8 the draw holds both DC and Nyquist."""
+    seed = next(s for s in itertools.count(14) if set(need) <= set(_drawn_rows(p, n, s)))
+    op = make_partial_fft_haar(p, n, levels, seed=seed)
+    unscaled = _explicit_partial_fft_haar(p, op.rows, levels)
+    norms = np.linalg.norm(unscaled, axis=0)
+    np.testing.assert_allclose(op.col_scale, norms, rtol=0, atol=1e-12)
+    dense = unscaled / norms
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        x = rng.standard_normal(p)
+        r = rng.standard_normal(n)
+        np.testing.assert_allclose(op.apply(x), dense @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.apply_adjoint(r), dense.T @ r, rtol=0, atol=1e-12)
 
 
 def test_partial_fft_haar_full_selection_orthonormal():
@@ -266,6 +308,18 @@ def test_partial_fft_haar_densify_oracle():
     np.testing.assert_allclose(op.apply_adjoint(r), dense.T @ r, atol=1e-12)
 
 
+def _real_dft_adjoint(u):
+    """``F^t u`` for the real unitary DFT ``F`` (rows DC, cos, Nyquist, sin), by irfft."""
+    p = u.size
+    half = p // 2
+    scale = np.sqrt(p) / np.sqrt(2.0)
+    c = np.empty(half + 1, dtype=np.complex128)
+    c[0] = u[0] * np.sqrt(p)
+    c[half] = u[half] * np.sqrt(p)
+    c[1:half] = scale * (u[1:half] - 1j * u[half + 1 :])
+    return np.fft.irfft(c, n=p)
+
+
 def _loop_column_energy(p, rows, levels):
     """Oracle: squared column norms summed over one adjoint row at a time,
     O(n p log p)."""
@@ -273,7 +327,7 @@ def _loop_column_energy(p, rows, levels):
     unit = np.zeros(p)
     for k in rows:
         unit[k] = 1.0
-        sq += haar_forward(real_dft_adjoint(unit), levels) ** 2
+        sq += haar_forward(_real_dft_adjoint(unit), levels) ** 2
         unit[k] = 0.0
     return sq
 
@@ -296,7 +350,7 @@ def test_column_energy_matches_row_loop(p, levels):
         seed = 7 * p + n
         rows = _drawn_rows(p, n, seed)
         expected = _loop_column_energy(p, rows, levels)
-        sq = _column_energy(p, rows, levels)
+        sq = _column_energy(p, *_row_map(p, rows), levels)
         assert np.max(np.abs(sq - expected)) <= 1e-13 * np.max(expected), n
         np.testing.assert_array_equal(sq == 0.0, expected == 0.0, err_msg=f"n={n}")
         zero = np.flatnonzero(expected == 0.0)
