@@ -69,22 +69,23 @@ def run_full_path(
     return path
 
 
-def bic_score(x: np.ndarray, residual_sq: float, n: int) -> float:
-    """``n * ln(RSS/n) + ||x||_0 * (ln(n) + 2*ln(p))`` with ``p = len(x)``.
+def bic_score(support_size: int, p: int, residual_sq: float, n: int) -> float:
+    """``n * ln(RSS/n) + support_size * (ln(n) + 2*ln(p))`` for a model of
+    ``support_size`` nonzeros among ``p`` columns.
 
     +inf for a :func:`~ishtc.solver.saturated` support (larger than
     ``min(n, p)``): it can interpolate the data, so such models are excluded
-    outright.
+    outright. A negative or NaN ``residual_sq`` and ``n < 1`` are refused
+    with a ValueError.
     """
-    if residual_sq < 0:
+    if not residual_sq >= 0:
         raise ValueError(f"squared residual must be >= 0, got {residual_sq}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    support_size = int(np.count_nonzero(x))
-    if saturated(support_size, n, x.size):
+    if saturated(support_size, n, p):
         return math.inf
     rss = max(residual_sq, RSS_FLOOR)
-    return n * math.log(rss / n) + support_size * (math.log(n) + 2.0 * math.log(x.size))
+    return n * math.log(rss / n) + support_size * (math.log(n) + 2.0 * math.log(p))
 
 
 def select_bic(path: PathResult, y: np.ndarray) -> Tuple[float, np.ndarray, List[BicScore]]:
@@ -92,20 +93,21 @@ def select_bic(path: PathResult, y: np.ndarray) -> Tuple[float, np.ndarray, List
 
     Scores within ``BIC_TIE_RTOL * max(1, |best|)`` of the best tie, and the
     largest level among them (the sparser side) wins, independent of path
-    ordering. Residuals come from the path's per-level diagnostics.
+    ordering. Residuals come from the path's per-level diagnostics, support
+    sizes from its supports; only the picked level is built dense.
     """
     if len(path) == 0:
         raise ValueError("empty path")
     n = int(np.asarray(y).shape[0])
     scores: List[BicScore] = []
-    for lam, x, rnorm in zip(path.lambdas, path.solutions, path.residual_norms):
+    for lam, support, rnorm in zip(path.lambdas, path.supports, path.residual_norms):
         residual_sq = float(rnorm) ** 2
-        scores.append(BicScore(float(lam), bic_score(x, residual_sq, n),
-                               int(np.count_nonzero(x)), residual_sq))
+        scores.append(BicScore(float(lam), bic_score(support.size, path.p, residual_sq, n),
+                               support.size, residual_sq))
     top = min(r.score for r in scores)
     cutoff = top + BIC_TIE_RTOL * max(1.0, abs(top))
     best = max((i for i, r in enumerate(scores) if r.score <= cutoff), key=lambda i: scores[i].lam)
-    return scores[best].lam, path.solutions[best].copy(), scores
+    return scores[best].lam, path.solution(best), scores
 
 
 def scores_to_csv(scores: List[BicScore], path: Union[str, Path]) -> None:

@@ -199,13 +199,19 @@ class PathResult:
     """Per-level record of one continuation run.
 
     Index 0 is the starting level (solution identically 0); every executed
-    level appends one entry. ``matvec_cumulative`` is the paper's logical
-    count of operator applications up to each level: 2 per inner iteration
-    plus 1 adjoint when ``lambda0`` was auto-derived, worked out from the
-    planned levels, cut where the run stopped, rather than counted at run
-    time. The cached route of a large dense operator (module docstring)
-    makes fewer calls than that count. The residual norm of a level is that
-    of ``y - Psi x`` at its last iterate.
+    level appends one entry. A level is held sparse: ``supports[i]`` is the
+    index array ``np.flatnonzero`` of its solution and ``values[i]`` the
+    solution's entries there, of a vector of length ``p``. A level whose
+    support equals the previous level's holds that level's index array
+    itself. :meth:`solution` builds the dense vector of one level; it writes
+    +0.0 off the support, also where the iterate held -0.0.
+    ``matvec_cumulative`` is the paper's logical count of operator
+    applications up to each level: 2 per inner iteration plus 1 adjoint when
+    ``lambda0`` was auto-derived, worked out from the planned levels, cut
+    where the run stopped, rather than counted at run time. The cached route
+    of a large dense operator (module docstring) makes fewer calls than that
+    count. The residual norm of a level is that of ``y - Psi x`` at its last
+    iterate.
     ``stop_reason`` says why the solve ended: ``"path_len"`` (a path-mode
     solve ran all its planned levels), ``"saturated"`` (a path-mode solve
     reached a :func:`saturated` support) or ``"lambda_star"`` (the next
@@ -213,28 +219,37 @@ class PathResult:
     """
 
     lambdas: np.ndarray
-    solutions: List[np.ndarray]
+    supports: List[np.ndarray]
+    values: List[np.ndarray]
+    p: int
     residual_norms: np.ndarray
     objective_values: np.ndarray
     matvec_cumulative: np.ndarray
     stop_reason: str
 
+    def solution(self, i: int) -> np.ndarray:
+        """Dense solution of level ``i`` (a new array)."""
+        x = np.zeros(self.p)
+        x[self.supports[i]] = self.values[i]
+        return x
+
     @property
-    def supports(self) -> List[np.ndarray]:
-        return [np.flatnonzero(x) for x in self.solutions]
+    def solutions(self) -> List[np.ndarray]:
+        """Dense solutions of every level, built on each read."""
+        return [self.solution(i) for i in range(len(self))]
 
     @property
     def n_matvec(self) -> int:
         return int(self.matvec_cumulative[-1])
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.supports)
 
     def to_csv(self, path: Union[str, Path]) -> None:
         """One row per level: level value, support size, residual norm,
         objective, cumulative matvec count."""
         write_csv(path, "lambda,support_size,residual_norm,objective,n_matvec_cumulative",
-                  zip(self.lambdas, map(np.count_nonzero, self.solutions), self.residual_norms,
+                  zip(self.lambdas, (s.size for s in self.supports), self.residual_norms,
                       self.objective_values, self.matvec_cumulative))
 
 
@@ -353,7 +368,7 @@ def continuation_solve(
     stop_reason = "path_len" if path_mode else "lambda_star"
     # r is the residual y - Psi x of the level's first iterate.
     x, r = np.zeros(op.p), y
-    solutions = [x]
+    supports, values = [np.flatnonzero(x)], [np.zeros(0)]
     residual_norms = [y_norm]
     objective_values = [0.5 * residual_norms[0] ** 2]
     for level, lam in enumerate(lambdas[1:], 1):
@@ -367,21 +382,26 @@ def continuation_solve(
             rnorm = float(np.linalg.norm(r))
         if not math.isfinite(rnorm):
             raise DivergenceError(lam, level, config.kmax)
-        solutions.append(x)
+        support = np.flatnonzero(x)
+        if np.array_equal(support, supports[-1]):
+            support = supports[-1]
+        supports.append(support)
+        values.append(x[support])
         residual_norms.append(rnorm)
         objective_values.append(0.5 * rnorm ** 2 + lam * config.penalty.term(x))
-        if path_mode and saturated(int(np.count_nonzero(x)), op.n, op.p):
+        if path_mode and saturated(support.size, op.n, op.p):
             stop_reason = "saturated"
             break
-    del lambdas[len(solutions):]  # the plan ends where the run stopped
+    del lambdas[len(supports):]  # the plan ends where the run stopped
 
     path = PathResult(
         lambdas=np.array(lambdas),
-        solutions=solutions,
+        supports=supports,
+        values=values,
+        p=op.p,
         residual_norms=np.array(residual_norms),
         objective_values=np.array(objective_values),
         matvec_cumulative=int(auto) + 2 * config.kmax * np.arange(len(lambdas), dtype=np.int64),
         stop_reason=stop_reason,
     )
-    return solutions[-2 if stop_reason == "saturated" else -1].copy(), path
-
+    return path.solution(-2 if stop_reason == "saturated" else -1), path

@@ -101,30 +101,36 @@ def test_cut_path_is_a_prefix_of_the_uncut_path(kind, penalty):
 
 def test_bic_zero_solution_zero_score():
     n = 25
-    assert bic_score(np.zeros(10), float(n), n) == 0.0
+    assert bic_score(0, 10, float(n), n) == 0.0
 
 
 def test_bic_penalizes_support_at_equal_residual():
     n = 50
-    dense = np.array([1.0, -2.0, 0.5, 0.0])
-    sparse = np.array([1.0, 0.0, 0.0, 0.0])
-    assert bic_score(sparse, 3.0, n) < bic_score(dense, 3.0, n)
+    assert bic_score(1, 4, 3.0, n) < bic_score(3, 4, 3.0, n)
 
 
 def test_bic_zero_residual_floored():
-    out = bic_score(np.array([1.0]), 0.0, 10)
+    out = bic_score(1, 1, 0.0, 10)
     assert np.isfinite(out)
 
 
-@pytest.mark.parametrize("residual_sq, n", [(-1.0, 10), (1.0, 0)], ids=["negative-rss", "n-0"])
+@pytest.mark.parametrize("residual_sq, n", [(-1.0, 10), (math.nan, 10), (1.0, 0)],
+                         ids=["negative-rss", "nan-rss", "n-0"])
 def test_bic_refuses_negative_rss_and_no_samples(residual_sq, n):
+    """A NaN squared residual is refused like a negative one."""
     with pytest.raises(ValueError):
-        bic_score(np.ones(3), residual_sq, n)
+        bic_score(3, 3, residual_sq, n)
 
 
 def test_bic_oversized_support_infinite():
-    x = np.ones(8)
-    assert bic_score(x, 1.0, 4) == np.inf
+    assert bic_score(8, 8, 1.0, 4) == np.inf
+
+
+def _sparse(sols, p):
+    """The ``supports``, ``values`` and ``p`` fields of dense solutions."""
+    supports = [np.flatnonzero(s) for s in sols]
+    return dict(supports=supports, values=[np.asarray(s, dtype=float)[i]
+                                           for s, i in zip(sols, supports)], p=p)
 
 
 def _path_from(lams, sols, y):
@@ -132,7 +138,7 @@ def _path_from(lams, sols, y):
     residuals = [float(np.linalg.norm(y - s[:n])) for s in sols]
     return PathResult(
         lambdas=np.asarray(lams, dtype=float),
-        solutions=[np.asarray(s, dtype=float) for s in sols],
+        **_sparse(sols, len(sols[0]) if sols else 0),
         residual_norms=np.asarray(residuals),
         objective_values=np.zeros(len(sols)),
         matvec_cumulative=np.zeros(len(sols), dtype=int),
@@ -177,7 +183,7 @@ def _path_with_residuals(lams, residual_norms, n=4, p=4):
     sols = [np.eye(p)[0] for _ in lams]
     return PathResult(
         lambdas=np.asarray(lams, dtype=float),
-        solutions=sols,
+        **_sparse(sols, p),
         residual_norms=np.asarray(residual_norms, dtype=float),
         objective_values=np.zeros(len(sols)),
         matvec_cumulative=np.zeros(len(sols), dtype=int),
@@ -217,7 +223,9 @@ def test_select_pick_survives_a_roundoff_perturbation_of_the_operator():
 def _reversed(path):
     return PathResult(
         lambdas=path.lambdas[::-1],
-        solutions=path.solutions[::-1],
+        supports=path.supports[::-1],
+        values=path.values[::-1],
+        p=path.p,
         residual_norms=path.residual_norms[::-1],
         objective_values=path.objective_values[::-1],
         matvec_cumulative=path.matvec_cumulative[::-1],
@@ -242,9 +250,9 @@ def _loop_select(path, y):
     low = math.inf
     for i in range(len(path)):
         residual_sq = float(path.residual_norms[i]) ** 2
-        s = bic_score(path.solutions[i], residual_sq, n)
-        scores.append(BicScore(lam=float(path.lambdas[i]), score=s,
-                               support_size=int(np.count_nonzero(path.solutions[i])),
+        support_size = int(np.count_nonzero(path.solution(i)))
+        s = bic_score(support_size, path.p, residual_sq, n)
+        scores.append(BicScore(lam=float(path.lambdas[i]), score=s, support_size=support_size,
                                residual_sq=residual_sq))
         low = min(low, s)
     best = -1
@@ -253,7 +261,7 @@ def _loop_select(path, y):
             best < 0 or r.lam > scores[best].lam
         ):
             best = i
-    return scores[best].lam, path.solutions[best].copy(), scores
+    return scores[best].lam, path.solution(best), scores
 
 
 def _assert_same_selection(path, y):

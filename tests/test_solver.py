@@ -23,6 +23,7 @@ from ishtc.solver import (
 )
 from ishtc.thresholding import Penalty, threshold_vector
 from test_acceptance import _guarantee_config, _guarantee_outcome
+from test_modelselect import _sparse
 
 
 def _orthonormal_op(n, p, seed):
@@ -189,8 +190,8 @@ def _recomputing_loop(op, y, cfg, lam_stop):
     ``y - Psi x`` once more, uncounted. Without a stop level the loop also
     ends after the first level whose support exceeds min(n, p). A level whose
     residual norm is not finite raises DivergenceError. Returns the
-    PathResult arrays, the stop reason and the returned estimate: the level
-    before a saturated last one, else the last."""
+    PathResult fields, the dense solutions, and the returned estimate: the
+    level before a saturated last one, else the last."""
     count = 0
     if cfg.lambda0 == "auto":
         z = float(np.max(np.abs(op.apply_adjoint(y))))
@@ -222,7 +223,7 @@ def _recomputing_loop(op, y, cfg, lam_stop):
             break
     lambdas, solutions, rnorms, objectives, counts = zip(*levels)
     return {
-        "lambdas": np.array(lambdas), "solutions": list(solutions),
+        "lambdas": np.array(lambdas), "solutions": list(solutions), **_sparse(solutions, op.p),
         "residual_norms": np.array(rnorms), "objective_values": np.array(objectives),
         "matvec_cumulative": np.array(counts, dtype=np.int64), "stop_reason": stop_reason,
         "x_star": solutions[-2 if stop_reason == "saturated" else -1],
@@ -262,6 +263,34 @@ def test_carried_residual_matches_recomputing_loop(kind, penalty, lambda0, stop)
     assert path.n_matvec == ref["matvec_cumulative"][-1]
     for support, sol in zip(path.supports, ref["solutions"]):
         assert np.array_equal(support, np.flatnonzero(sol))
+
+
+@pytest.mark.parametrize("kind, penalty", [("fft-haar", Penalty.L0), ("gaussian", Penalty.L1)])
+def test_path_record_holds_supports_and_values(kind, penalty):
+    """Every level of the record builds the two-matvec oracle's solution, a
+    level with its predecessor's support holds that index array itself, and
+    the values plus the distinct supports take under 40% of the bytes of the
+    dense levels. The dense operator is below the cached route's floor, so
+    both solves take the same steps bit for bit."""
+    if kind == "fft-haar":  # the cli-fft-haar benchmark's shape at a quarter of its p
+        problem = gen_problem("fft-haar", n=1330, p=2048, s=494, dr=100.0, sigma=1e-4, seed=3,
+                              levels=2)
+    else:
+        problem = gen_problem("gaussian", n=200, p=1000, s=10, dr=100.0, sigma=1e-2, seed=4)
+        assert problem.op.n * problem.op.p < solver.GRAM_MIN_SIZE
+    cfg = SolverConfig(penalty=penalty)
+    ref = _recomputing_loop(problem.op, problem.y, cfg, None)
+    _, path = continuation_solve(problem.op, problem.y, cfg)
+    assert len(path) == len(ref["solutions"])
+    for level, want in enumerate(ref["solutions"]):
+        assert np.array_equal(path.solution(level), want), level
+    pairs = list(zip(path.supports, path.supports[1:]))
+    same = [np.array_equal(a, b) for a, b in pairs]
+    assert any(same)
+    assert all((a is b) == equal for (a, b), equal in zip(pairs, same))
+    distinct = {id(s): s for s in path.supports}.values()
+    held = sum(v.nbytes for v in path.values) + sum(s.nbytes for s in distinct)
+    assert held < 0.4 * len(path) * path.p * 8
 
 
 def test_carried_residual_diverges_where_recomputing_loop_does():
