@@ -4,13 +4,15 @@ with fitted 90%-success curves, and benchmark tables.
 The sweep, the grid and the table run one trial, ``_trial``: on a seeded
 instance from ``gen_problem``, run the full path, pick a level by extended
 BIC and score the pick. It returns (metrics, matvec count, solve seconds),
-or None when the solve diverged. Each of the three lists its draws and
-hands them to one ``_run_trials`` call, which checks every draw with
-``check_problem_args`` before the first trial, groups the draws that share
-a matrix (they differ only in ``s``, ``dr`` or ``sigma``, as a sweep's
-replication does across an s or sigma grid) into one task that draws it
-once with ``gen_operator``, and maps the tasks through ``_run_ordered``;
-the caller reduces the records.
+or None when the solve diverged. Each driver builds its tasks, each a list
+of draws (``gen_problem`` arguments), and hands them to one ``_run_trials``
+call. That call checks every draw and the path knobs before the first
+draw, maps the tasks through ``_run_ordered`` and returns the records flat,
+in task order; the driver reduces them. A task solves its draws in order,
+and each draw after the first reuses the operator of the one before. An s
+or sigma sweep hands one task per replication, its draws in value order,
+because the replication's one seed gives one matrix at every value. A nu
+sweep, a phase grid and a benchmark table hand one draw per task.
 
 Every driver is a pure function of its spec and base seed. Replication
 seeds are derived from the base seed with stable integer keys, tasks are
@@ -35,15 +37,13 @@ import numpy as np
 
 from .metrics import Metrics, reconstruction_metrics
 from .modelselect import run_full_path, select_bic
-from .probgen import Problem, check_problem_args, gen_operator, gen_problem
-from .solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError
+from .probgen import Problem, check_problem_args, gen_problem
+from .solver import (DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError,
+                     SolverConfig)
 from .storage import write_csv
 from .thresholding import Penalty
 
 LN9 = math.log(9.0)
-
-#: ``gen_problem`` arguments that the matrix draw does not read.
-_SIGNAL_ARGS = ("s", "dr", "sigma")
 
 #: Columns of a :func:`benchmark_table` row, in ``bench.csv`` order.
 BENCH_COLUMNS = ("p", "n", "s", "time_s", "n_matvec", "rel_l2", "abs_linf", "diverged")
@@ -70,42 +70,40 @@ def _run_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _run_trials(draws: Sequence[dict], workers: int, penalty: Penalty, gamma: float, kmax: int,
-                path_len: int) -> list:
-    """``_trial`` records of ``draws``, in order. Every draw is checked
-    first, so a grid refuses a bad value before its first trial runs. Draws
-    whose other arguments agree run as one task that draws their matrix once."""
+def _run_trials(tasks: Sequence[Sequence[dict]], workers: int, penalty: Penalty, gamma: float,
+                kmax: int, path_len: int) -> list:
+    """``_trial`` records of the draws of ``tasks``, flat and in order.
+    Every draw and the path knobs are checked first, so a grid refuses a bad
+    value before its first matrix is drawn."""
+    for draws in tasks:
+        for draw in draws:
+            check_problem_args(**draw)
+    config = SolverConfig(penalty=penalty, gamma=gamma, kmax=kmax, path_len_N=path_len)
+    done = _run_ordered(partial(_task, config=config), tasks, workers)
+    return [record for records in done for record in records]
+
+
+def _task(draws: Sequence[dict], config: SolverConfig) -> list:
+    """``_trial`` records of ``draws``, in order. Each draw after the first
+    reuses the operator of the one before, so the draws of a task must share
+    every ``gen_problem`` argument but ``s``, ``dr`` and ``sigma``."""
+    records, op = [], None
     for draw in draws:
-        check_problem_args(**draw)
-    groups: dict = {}
-    for i, draw in enumerate(draws):
-        key = tuple(sorted((k, v) for k, v in draw.items() if k not in _SIGNAL_ARGS))
-        groups.setdefault(key, []).append(i)
-    task = partial(_task, penalty=penalty, gamma=gamma, kmax=kmax, path_len=path_len)
-    done = _run_ordered(task, [[draws[i] for i in idx] for idx in groups.values()], workers)
-    records: list = [None] * len(draws)
-    for idx, recs in zip(groups.values(), done):
-        for i, rec in zip(idx, recs):
-            records[i] = rec
+        problem = gen_problem(**draw, op=op)
+        op = problem.op
+        records.append(_trial(problem, config))
     return records
 
 
-def _task(draws: Sequence[dict], **solve) -> list:
-    """``_trial`` records of draws that share one matrix, drawn here once."""
-    op = gen_operator(**{k: v for k, v in draws[0].items() if k not in _SIGNAL_ARGS})
-    return [_trial(gen_problem(**draw, op=op), **solve) for draw in draws]
-
-
-def _trial(
-    problem: Problem, penalty: Penalty, gamma: float, kmax: int, path_len: int
-) -> Optional[Tuple[Metrics, int, float]]:
+def _trial(problem: Problem, config: SolverConfig) -> Optional[Tuple[Metrics, int, float]]:
     """Full path and BIC pick on ``problem``: the pick's metrics, the path's
     matvec count and the seconds of path plus pick, or None when the solve
     diverged. The problem and the path die in the task, so a large grid
     holds only these records."""
     t0 = time.perf_counter()
     try:
-        path = run_full_path(problem.op, problem.y, penalty, gamma=gamma, kmax=kmax, N=path_len)
+        path = run_full_path(problem.op, problem.y, config.penalty, gamma=config.gamma,
+                             kmax=config.kmax, N=config.path_len_N)
     except DivergenceError:
         return None
     _, x_best, _ = select_bic(path, problem.y)
@@ -159,15 +157,16 @@ def support_probability_sweep(
     Each replication runs the full path and scores the BIC-selected
     solution; a diverged solve counts as a failure, never an abort.
     """
-    draws = [
-        {**spec.fixed, spec.varied: int(value) if spec.varied == "s" else value,
-         "seed": _task_seed(spec.base_seed, rep)}
-        for value in spec.values
+    tasks = [
+        [{**spec.fixed, spec.varied: int(value) if spec.varied == "s" else value,
+          "seed": _task_seed(spec.base_seed, rep)} for value in spec.values]
         for rep in range(spec.replications)
     ]
-    records = _run_trials(draws, workers, penalty, gamma, kmax, path_len)
+    if spec.varied == "nu":  # nu is part of the matrix draw
+        tasks = [[draw] for draws in tasks for draw in draws]
+    records = _run_trials(tasks, workers, penalty, gamma, kmax, path_len)
     wins = [r is not None and r[0].exact_support for r in records]
-    per_value = np.reshape(wins, (len(spec.values), spec.replications)).sum(axis=1)
+    per_value = np.reshape(wins, (spec.replications, len(spec.values))).sum(axis=0)
     return [(float(value), int(w) / spec.replications) for value, w in zip(spec.values, per_value)]
 
 
@@ -241,12 +240,12 @@ def phase_transition_grid(
         trials=trials,
         p=p,
     )
-    draws = []
+    tasks = []
     for i, j, t in np.ndindex(*grid.successes.shape, trials):
         n, s = grid.cell_dims(i, j)
-        draws.append(dict(matrix_kind="gaussian", n=n, p=p, s=s, dr=1.0, sigma=sigma,
-                          seed=_task_seed(base_seed, i, j, t)))
-    records = _run_trials(draws, workers, penalty, gamma, kmax, path_len)
+        tasks.append([dict(matrix_kind="gaussian", n=n, p=p, s=s, dr=1.0, sigma=sigma,
+                           seed=_task_seed(base_seed, i, j, t))])
+    records = _run_trials(tasks, workers, penalty, gamma, kmax, path_len)
     wins = [r is not None and r[0].rel_l2 <= success_threshold for r in records]
     grid.successes[...] = np.reshape(wins, (*grid.successes.shape, trials)).sum(axis=2)
     return grid
@@ -370,13 +369,13 @@ def benchmark_table(
     if min(sizes) < 4:
         raise ValueError(f"every size must be >= 4, so that n = p//4 >= 1; got {min(sizes)}")
     dims = [(p, p // 4, max(1, p // 4 // 40)) for p in sizes]
-    draws = [
-        dict(matrix_kind=matrix_kind, n=n, p=p, s=s, dr=dr, sigma=sigma,
-             seed=_task_seed(base_seed, si, rep))
+    tasks = [
+        [dict(matrix_kind=matrix_kind, n=n, p=p, s=s, dr=dr, sigma=sigma,
+              seed=_task_seed(base_seed, si, rep))]
         for si, (p, n, s) in enumerate(dims)
         for rep in range(replications)
     ]
-    records = _run_trials(draws, workers, penalty, gamma, kmax, path_len)
+    records = _run_trials(tasks, workers, penalty, gamma, kmax, path_len)
     rows: List[dict] = []
     for si, (p, n, s) in enumerate(dims):
         done = [r for r in records[si * replications : (si + 1) * replications] if r is not None]

@@ -1,14 +1,14 @@
 """Seeded generation of sensing matrices, sparse signals, and noisy data.
 
 Every generator is a pure function of its parameters and seed. A problem's
-master seed is split into independent matrix/signal/noise streams, so e.g.
-changing only ``sigma`` regenerates the same matrix and signal with the same
-noise direction at a different scale.
+master seed is split into independent matrix/signal/noise streams, so
+instances that differ only in ``s``, ``dr`` or ``sigma`` share their
+matrix, and changing only ``sigma`` keeps the signal and rescales the same
+noise direction. :func:`gen_problem` takes the operator of
+such an earlier instance in place of drawing the matrix again.
 
 Every dense kind is drawn once, mixed in place if it needs mixing, and
 normalized once by ``linop.normalize_columns`` into its final buffer.
-:func:`gen_operator` is the matrix half of :func:`gen_problem`, so callers
-that hold many draws of one matrix can draw it once.
 """
 
 from __future__ import annotations
@@ -111,26 +111,6 @@ def gen_sparse_signal(p: int, s: int, dr: float, seed: SeedLike) -> np.ndarray:
     return x
 
 
-def gen_operator(
-    matrix_kind: str,
-    n: int,
-    p: int,
-    nu: Optional[float] = None,
-    seed: int = 0,
-    levels: int = 2,
-) -> SensingOperator:
-    """The operator of :func:`gen_problem` with these arguments. It is drawn
-    from the seed's matrix stream alone, so draws that differ only in ``s``,
-    ``dr`` or ``sigma`` share it."""
-    _check_matrix_args(matrix_kind, n, p, nu, levels)
-    mat_ss = _substream(seed, _MATRIX_STREAM)
-    if matrix_kind == "bernoulli":
-        return gen_bernoulli_matrix(n, p, mat_ss)
-    if matrix_kind == "fft-haar":
-        return make_partial_fft_haar(p, n, levels, seed=int(mat_ss.generate_state(1)[0]))
-    return gen_correlated_gaussian(n, p, nu if matrix_kind == "correlated" else 0.0, mat_ss)
-
-
 def gen_problem(
     matrix_kind: str,
     n: int,
@@ -148,13 +128,23 @@ def gen_problem(
     ``nu`` is required for (and only used by) the ``correlated`` kind, but
     every kind echoes it into ``meta``, so it must be finite for every kind;
     ``levels`` only by ``fft-haar``, whose signal is sparse in the
-    coefficient domain the operator expects. ``op``, when given, must be
-    ``gen_operator(matrix_kind, n, p, nu, seed, levels)``: a sweep passes it
-    so that draws sharing those arguments draw their matrix once.
+    coefficient domain the operator expects.
+
+    The matrix is drawn from the seed's matrix stream alone, so instances
+    that differ only in ``s``, ``dr`` or ``sigma`` share it. ``op``, when
+    given, is used in place of that draw: it must be the ``op`` of a problem
+    drawn with the same ``matrix_kind``, ``n``, ``p``, ``nu``, ``seed`` and
+    ``levels``, as an experiment task passes from one draw to the next.
     """
     check_problem_args(matrix_kind, n, p, s, dr, sigma, nu, seed, levels)
     if op is None:
-        op = gen_operator(matrix_kind, n, p, nu, seed, levels)
+        mat_ss = _substream(seed, _MATRIX_STREAM)
+        if matrix_kind == "bernoulli":
+            op = gen_bernoulli_matrix(n, p, mat_ss)
+        elif matrix_kind == "fft-haar":
+            op = make_partial_fft_haar(p, n, levels, seed=int(mat_ss.generate_state(1)[0]))
+        else:
+            op = gen_correlated_gaussian(n, p, nu if matrix_kind == "correlated" else 0.0, mat_ss)
     x_true = gen_sparse_signal(p, s, dr, _substream(seed, _SIGNAL_STREAM))
     noise = sigma * np.random.default_rng(_substream(seed, _NOISE_STREAM)).standard_normal(n)
     y = op.apply(x_true) + noise
@@ -190,11 +180,6 @@ def check_problem_args(
     checked before the first is generated; ``seed`` is not checked."""
     if not 0 <= sigma < math.inf:  # also rejects NaN
         raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
-    _check_matrix_args(matrix_kind, n, p, nu, levels)
-    _check_signal(p, s, dr)
-
-
-def _check_matrix_args(matrix_kind: str, n: int, p: int, nu: Optional[float], levels: int) -> None:
     if nu is not None and not math.isfinite(nu):
         raise ValueError(f"mixing weight must be finite, got {nu}")
     if matrix_kind not in MATRIX_KINDS:
@@ -207,6 +192,7 @@ def _check_matrix_args(matrix_kind: str, n: int, p: int, nu: Optional[float], le
         raise ValueError(f"measurement count must be >= 1, got {n}")
     if matrix_kind == "fft-haar":
         check_fft_haar_sizes(p, n, levels)
+    _check_signal(p, s, dr)
 
 
 def _check_mixing_weight(nu: float) -> None:

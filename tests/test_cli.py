@@ -643,6 +643,13 @@ PHASE = ["phase", "--p", "8", "--trials", "1", "--path-len", "5"]
     (PHASE, {"delta_grid": {"0.5": 1}, "rho_grid": [0.1]}, EXIT_SCHEMA,
      "delta_grid must be a list"),
     (["bench"], {"sizes": 320}, EXIT_SCHEMA, "sizes must be a list"),
+    # A bad path knob is refused before the first matrix is drawn.
+    ([*SWEEP, "--varied", "s", "--values", "1,2", "--replications", "3", "--workers", "2",
+      "--gamma", "1.5"], None, EXIT_SCHEMA, "shrink factor must lie in (0, 1), got 1.5"),
+    ([*PHASE, "--grid", "2", "--kmax", "0"], None, EXIT_SCHEMA,
+     "inner iteration count must be >= 1, got 0"),
+    (["bench", "--sizes", "16", "--replications", "1", "--path-len=-1"], None, EXIT_SCHEMA,
+     "path length must be >= 0, got -1"),
 ], ids=["sweep-s-2.6,2.4", "sweep-s-inf", "sweep-s--inf", "sweep-s-nan",
         "sweep-correlated-without-nu", "sweep-nu-on-gaussian", "phase-grid-and-delta-grid",
         "phase-grid-and-both-grids", "bench-correlated", "gen-without-kind", "missing-config",
@@ -652,7 +659,7 @@ PHASE = ["phase", "--p", "8", "--trials", "1", "--path-len", "5"]
         "sweep-nu-inf-later", "sweep-n-0", "bench-fft-haar-p-1000", "sweep-fft-haar-n-above-p",
         "sweep-fft-haar-depth", "config-sizes-item-320.7",
         "config-delta-grid-item-true", "config-values-item-true", "config-delta-grid-object",
-        "config-sizes-scalar"])
+        "config-sizes-scalar", "sweep-gamma-1.5", "phase-kmax-0", "bench-path-len--1"])
 def test_refusals_print_one_json_record(argv, config, code, fragment, tmp_path, capsys,
                                         monkeypatch):
     """Exit 2 or 3 with one JSON record naming the rule, before any trial and

@@ -103,6 +103,51 @@ def test_sweep_draws_one_matrix_per_replication(varied, values, fixed, monkeypat
     assert 0 < sum(rate for _, rate in rows) < len(values)  # the rates are not all 0 or 1
 
 
+def _handed_tasks(monkeypatch, run):
+    """The tasks that ``run()`` hands ``experiments._run_ordered``."""
+    handed = []
+    run_ordered = experiments._run_ordered
+
+    def recorded(fn, tasks, workers):
+        handed.extend(tasks)
+        return run_ordered(fn, tasks, workers)
+
+    monkeypatch.setattr(experiments, "_run_ordered", recorded)
+    run()
+    return handed
+
+
+@pytest.mark.parametrize("varied, values, fixed", [
+    ("s", (1.0, 3.0), {"matrix_kind": "gaussian", "sigma": 1e-2}),
+    ("sigma", (0.0, 1e-2, 3e-1), {"matrix_kind": "bernoulli", "s": 4}),
+    ("nu", (0.0, 0.5, 0.9), {"matrix_kind": "correlated", "s": 4, "sigma": 1e-2}),
+])
+def test_sweep_hands_one_task_per_replication(varied, values, fixed, monkeypatch):
+    """An s or sigma sweep hands one task per replication, its draws in value
+    order; a nu sweep, whose value is part of the matrix, one draw per task."""
+    spec = SweepSpec(varied=varied, values=values, fixed={"n": 20, "p": 40, "dr": 10.0, **fixed},
+                     replications=3, base_seed=5)
+    tasks = _handed_tasks(monkeypatch, lambda: support_probability_sweep(
+        spec, Penalty.L1, workers=2, path_len=5))
+    seeds = [experiments._task_seed(spec.base_seed, rep) for rep in range(spec.replications)]
+    want = [[(seed, int(v) if varied == "s" else v) for v in values] for seed in seeds]
+    if varied == "nu":
+        want = [[draw] for draws in want for draw in draws]
+    assert [[(d["seed"], d[varied]) for d in draws] for draws in tasks] == want
+
+
+@pytest.mark.parametrize("run, trials", [
+    (lambda: phase_transition_grid([0.5, 1.0], [0.1, 0.3], p=40, trials=2, penalty=Penalty.L1,
+                                   workers=2, path_len=5), 8),
+    (lambda: benchmark_table([16, 32], "bernoulli", Penalty.L1, replications=3, dr=10.0,
+                             sigma=5e-2, workers=2, path_len=5), 6),
+], ids=["phase", "bench"])
+def test_grid_and_table_hand_one_draw_per_task(run, trials, monkeypatch):
+    tasks = _handed_tasks(monkeypatch, run)
+    assert [len(draws) for draws in tasks] == [1] * trials
+    assert len({draws[0]["seed"] for draws in tasks}) == trials
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(varied="dr", values=(1.0,), fixed={}, replications=1)
