@@ -39,7 +39,7 @@ from .metrics import Metrics, reconstruction_metrics
 from .modelselect import run_full_path, select_bic
 from .probgen import Problem, check_problem_args, gen_problem
 from .solver import (DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError,
-                     SolverConfig)
+                     SolverConfig, _check_count)
 from .storage import write_csv
 from .thresholding import Penalty
 
@@ -61,8 +61,7 @@ def _run_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
     The pool starts at most one thread per task and per CPU: an executor
     starts a thread per submit up to its ``max_workers``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("workers", workers, 1)
     threads = min(workers, len(tasks), os.cpu_count() or 1)
     if threads <= 1:
         return [fn(t) for t in tasks]
@@ -120,8 +119,9 @@ def _trial(problem: Problem, config: SolverConfig) -> Optional[Tuple[Metrics, in
 class SweepSpec:
     """One-axis sweep: ``varied`` (s, sigma or nu) ranges over ``values``, and
     ``fixed`` holds the other ``gen_problem`` arguments, which it checks. A
-    spec refuses an empty grid, no replications, non-integer ``s`` values,
-    and a ``nu`` sweep unless ``fixed["matrix_kind"]`` is ``"correlated"``.
+    spec refuses an empty grid, a replication count that is not an integer
+    >= 1, non-integer ``s`` values, and a ``nu`` sweep unless
+    ``fixed["matrix_kind"]`` is ``"correlated"``.
     """
 
     varied: str
@@ -135,8 +135,7 @@ class SweepSpec:
             raise ValueError(f"varied must be one of s, sigma, nu; got {self.varied!r}")
         if len(self.values) == 0:
             raise ValueError("values grid is empty")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        _check_count("replications", self.replications, 1)
         object.__setattr__(self, "values", tuple(self.values))
         if self.varied == "s" and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"s values must be integers, got {list(self.values)}")
@@ -228,8 +227,7 @@ def phase_transition_grid(
             raise ValueError(f"{name} grid is empty")
         if np.any(grid < 0.1) or np.any(grid > 1.0):
             raise ValueError(f"{name} grid must lie within [0.1, 1]")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
     if not success_threshold >= 0:  # also rejects NaN
         raise ValueError(f"success threshold must be >= 0, got {success_threshold}")
 
@@ -251,6 +249,7 @@ def phase_transition_grid(
     return grid
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a runaway fit overflows exp, then finds no fit
 def _irls_logistic(x: np.ndarray, wins: np.ndarray, trials: int) -> Optional[Tuple[float, float]]:
     """Fit P(win) = sigmoid(a + b*x) to binomial counts; None if 100 steps find no fit."""
     design = np.column_stack([np.ones_like(x), x])
@@ -283,40 +282,29 @@ def _crossing_interp(rhos: np.ndarray, rates: np.ndarray) -> Optional[float]:
 
 
 def fit_90pct_curve(grid: PhaseGrid) -> Tuple[np.ndarray, List[str]]:
-    """Per-delta rho at which the success rate crosses 90%.
+    """Per-delta rho at which the success rate crosses 90%, and its flag.
 
-    Columns whose rates never straddle 0.9 are clamped to the grid edge
-    (flag "clamped"); a failed or out-of-range logistic fit falls back to
-    linear interpolation of the empirical rates (flag "interp"); otherwise
-    the flag is "logistic".
+    Each column is clamped to the grid edge its last rate is on: ``rho[-1]``
+    if that rate is at least 0.9, else ``rho[0]`` (flag "clamped"). Only a
+    column whose rates straddle 0.9 overrides that: with the crossing of a
+    falling logistic fit that lies inside the grid ("logistic"), else with
+    the first downward crossing of the rates, linearly interpolated, when
+    there is one ("interp").
     """
     rho = grid.rho_grid
     rho90 = np.empty(grid.delta_grid.size)
     flags: List[str] = []
-    for i in range(grid.delta_grid.size):
-        wins = grid.successes[i, :].astype(np.float64)
+    for i, wins in enumerate(grid.successes.astype(np.float64)):
         rates = wins / grid.trials
-        if np.all(rates >= 0.9):
-            val, flag = float(rho[-1]), "clamped"
-        elif np.all(rates < 0.9):
-            val, flag = float(rho[0]), "clamped"
-        else:
+        rho90[i], flag = (rho[-1] if rates[-1] >= 0.9 else rho[0]), "clamped"
+        if np.any(rates >= 0.9) and np.any(rates < 0.9):
             fit = _irls_logistic(rho, wins, grid.trials)
-            val, flag = math.nan, ""
-            if fit is not None:
-                a, b = fit
-                if b < 0:
-                    cand = (LN9 - a) / b
-                    if math.isfinite(cand) and rho[0] <= cand <= rho[-1]:
-                        val, flag = float(cand), "logistic"
-            if not flag:
-                cand = _crossing_interp(rho, rates)
-                if cand is not None:
-                    val, flag = cand, "interp"
-                else:
-                    val = float(rho[-1]) if rates[-1] >= 0.9 else float(rho[0])
-                    flag = "clamped"
-        rho90[i] = val
+            logistic = math.nan if fit is None or fit[1] >= 0 else (LN9 - fit[0]) / fit[1]
+            interp = _crossing_interp(rho, rates)
+            if rho[0] <= logistic <= rho[-1]:
+                rho90[i], flag = logistic, "logistic"
+            elif interp is not None:
+                rho90[i], flag = interp, "interp"
         flags.append(flag)
     return rho90, flags
 
@@ -362,12 +350,11 @@ def benchmark_table(
     ``diverged`` and left out of the means, which are nan when every
     replication diverged.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    _check_count("replications", replications, 1)
     if len(sizes) == 0:
         raise ValueError("sizes is empty")
-    if min(sizes) < 4:
-        raise ValueError(f"every size must be >= 4, so that n = p//4 >= 1; got {min(sizes)}")
+    for p in sizes:  # n = p//4 must be >= 1
+        _check_count("each size", p, 4)
     dims = [(p, p // 4, max(1, p // 4 // 40)) for p in sizes]
     tasks = [
         [dict(matrix_kind=matrix_kind, n=n, p=p, s=s, dr=dr, sigma=sigma,

@@ -96,18 +96,18 @@ class SensingOperator:
 
     ``kind`` is ``"dense"`` or ``"partial-fft-haar"``. Dense operators carry
     the column-major matrix in ``matrix``; the implicit kind carries the
-    sorted selected rows of the real unitary DFT, the wavelet depth, the
-    per-column scale that restores unit column norms, and the row map that
-    :func:`make_partial_fft_haar` derives from the rows once: row ``i`` reads
-    ``rfft_weight[i] * rfft(v).view(float64)[rfft_index[i]]``, the buffer of
-    length ``p + 2`` that interleaves each bin's real and imaginary parts.
+    wavelet depth, the per-column scale that restores unit column norms, and
+    the map of the selected rows of the real unitary DFT that
+    :func:`make_partial_fft_haar` derives once from the seeded draw: row
+    ``i`` reads ``rfft_weight[i] * rfft(v).view(float64)[rfft_index[i]]``,
+    the buffer of length ``p + 2`` that interleaves each bin's real and
+    imaginary parts.
     """
 
     n: int
     p: int
     kind: str
     matrix: Optional[np.ndarray] = None
-    rows: Optional[np.ndarray] = None
     levels: int = 0
     col_scale: Optional[np.ndarray] = None
     rfft_index: Optional[np.ndarray] = None
@@ -246,7 +246,7 @@ def make_partial_fft_haar(p: int, n: int, levels: int, seed: int) -> SensingOper
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(p, size=n, replace=False))
     index, weight = _row_map(p, rows)
-    for a in (rows, index, weight):
+    for a in (index, weight):
         a.setflags(write=False)
 
     sq = _column_energy(p, index, weight, levels)
@@ -259,7 +259,6 @@ def make_partial_fft_haar(p: int, n: int, levels: int, seed: int) -> SensingOper
         n=n,
         p=p,
         kind="partial-fft-haar",
-        rows=rows,
         levels=levels,
         col_scale=col_scale,
         rfft_index=index,

@@ -29,7 +29,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +74,14 @@ class DivergenceError(RuntimeError):
         self.inner_k = inner_k
 
 
+def _check_count(name: str, value: Any, floor: int) -> None:
+    """Refuse a count that is a bool, not an integer, or below ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Continuation parameters.
@@ -98,14 +106,8 @@ class SolverConfig:
         object.__setattr__(self, "penalty", Penalty(self.penalty))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"shrink factor must lie in (0, 1), got {self.gamma}")
-        for name in ("kmax", "path_len_N"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.kmax < 1:
-            raise ValueError(f"inner iteration count must be >= 1, got {self.kmax}")
-        if self.path_len_N < 0:
-            raise ValueError(f"path length must be >= 0, got {self.path_len_N}")
+        _check_count("inner iteration count", self.kmax, 1)
+        _check_count("path length", self.path_len_N, 0)
         for name, word in (("lambda0", "auto"), ("lambda_star", "path")):
             value = getattr(self, name)
             if value != word if isinstance(value, str) else not 0 < value < math.inf:

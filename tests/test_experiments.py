@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ishtc.modelselect import run_full_path, select_bic
 from ishtc.probgen import gen_problem
 from ishtc.thresholding import Penalty
 from test_acceptance import median_smooth3
+from test_cli import _count_trials
 
 TINY_SWEEP = dict(
     fixed={"matrix_kind": "gaussian", "n": 20, "p": 40, "sigma": 0.0, "dr": 1.0},
@@ -164,6 +166,37 @@ def test_sweep_spec_validation():
     SweepSpec(varied="nu", values=(0.0, 0.5), fixed={"matrix_kind": "correlated"}, replications=1)
 
 
+def _sweep(replications=2, **kwargs):
+    spec = SweepSpec(varied="s", values=(1.0, 2.0), replications=replications,
+                     fixed=TINY_SWEEP["fixed"])
+    return support_probability_sweep(spec, Penalty.L1, **kwargs)
+
+
+def _phase(trials=1, **kwargs):
+    return phase_transition_grid([0.5], [0.1], p=40, trials=trials, penalty=Penalty.L1, **kwargs)
+
+
+def _bench(sizes=(16,), replications=1, **kwargs):
+    return benchmark_table(list(sizes), "bernoulli", Penalty.L1, replications=replications,
+                           dr=10.0, sigma=5e-2, **kwargs)
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    (_sweep, {"replications": True}), (_sweep, {"replications": 2.0}), (_sweep, {"workers": 1.5}),
+    (_phase, {"trials": True}), (_phase, {"trials": 2.0}), (_phase, {"workers": 1.5}),
+    (_bench, {"replications": True}), (_bench, {"sizes": (16.0,)}), (_bench, {"workers": 1.5}),
+    (_phase, {"kmax": 2.5}), (_bench, {"path_len": True}),
+], ids=["sweep-replications-True", "sweep-replications-2.0", "sweep-workers-1.5",
+        "phase-trials-True", "phase-trials-2.0", "phase-workers-1.5", "bench-replications-True",
+        "bench-size-16.0", "bench-workers-1.5", "phase-kmax-2.5", "bench-path-len-True"])
+def test_non_integer_counts_are_refused_before_any_trial(run, kwargs, monkeypatch):
+    """A bool or non-integer count raises ValueError before the first trial."""
+    calls = _count_trials(monkeypatch)
+    with pytest.raises(ValueError, match="must be an integer"):
+        run(**kwargs)
+    assert not calls
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     sweep_to_csv([(10.0, 0.9), (20.0, 0.5)], out)
@@ -223,6 +256,20 @@ def test_fit_all_failure_clamped_low():
     rho90, flags = fit_90pct_curve(grid)
     assert float(rho90[0]) == 0.1
     assert flags[0] == "clamped"
+
+
+@pytest.mark.parametrize("rho, wins, trials, want", [
+    ((0.3, 0.3), (4, 2), 4, 0.3),
+    ((0.2, 0.201, 0.5), (1, 0, 0), 1, 0.2001),
+], ids=["singular-hessian", "runaway-fit"])
+def test_fit_falls_back_to_interp_quietly(rho, wins, trials, want):
+    """A logistic fit that finds no answer, from a singular Hessian or from a
+    fit that overflows as it runs away, falls back to interpolation without a
+    numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho90, flags = fit_90pct_curve(_column_grid(rho, wins, trials))
+    assert (float(rho90[0]), flags[0]) == (want, "interp")
 
 
 def test_fit_synthetic_logistic_oracle():

@@ -270,7 +270,7 @@ def test_partial_fft_haar_matches_explicit_rows(p, n, levels, need):
     built from explicit rows; at p=8 the draw holds both DC and Nyquist."""
     seed = next(s for s in itertools.count(14) if set(need) <= set(_drawn_rows(p, n, s)))
     op = make_partial_fft_haar(p, n, levels, seed=seed)
-    unscaled = _explicit_partial_fft_haar(p, op.rows, levels)
+    unscaled = _explicit_partial_fft_haar(p, _drawn_rows(p, n, seed), levels)
     norms = np.linalg.norm(unscaled, axis=0)
     np.testing.assert_allclose(op.col_scale, norms, rtol=0, atol=1e-12)
     dense = unscaled / norms
@@ -359,7 +359,9 @@ def test_column_energy_matches_row_loop(p, levels):
                 make_partial_fft_haar(p, n, levels, seed=seed)
         else:
             op = make_partial_fft_haar(p, n, levels, seed=seed)
-            np.testing.assert_array_equal(op.rows, rows)
+            index, weight = _row_map(p, rows)
+            np.testing.assert_array_equal(op.rfft_index, index)
+            np.testing.assert_array_equal(op.rfft_weight, weight)
             np.testing.assert_array_equal(op.col_scale, np.sqrt(sq))
 
 
