@@ -5,8 +5,10 @@ matrix (stored column-major, since column access dominates normalization and
 coherence work) and a matrix-free composition of an inverse orthonormal Haar
 transform with a seeded selection of rows of the real unitary DFT, which
 reads and writes its rows straight from numpy's ``rfft`` buffer through a
-row map built once. Operators are immutable after construction and keep no
-per-run state.
+row map built once. Its maps run one pair of unnormalized Haar butterflies,
+with the orthonormal block factors folded into the column scales, and its
+private normal product ``Psi^t Psi`` serves the solver's cached route.
+Operators are immutable after construction and keep no per-run state.
 
 The dense forward map is charged for the support of its input, not for p:
 when fewer than ``p / 8`` entries of ``x`` are nonzero and ``n * p`` is at
@@ -35,7 +37,7 @@ RESTRICTED_MIN_SIZE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# Orthonormal Haar transform
+# Haar transform
 # ---------------------------------------------------------------------------
 
 
@@ -46,35 +48,54 @@ def haar_forward(x: np.ndarray, levels: int) -> np.ndarray:
     where ``L = levels``. Requires ``len(x)`` divisible by ``2**levels``.
     """
     x = np.asarray(x, dtype=np.float64)
-    p = x.size
-    _check_haar_dims(p, levels)
-    out = np.empty(p)
-    a = x
-    hi = p
-    for _ in range(levels):
-        pairs = a.reshape(-1, 2)
-        detail = (pairs[:, 0] - pairs[:, 1]) / math.sqrt(2.0)
-        a = (pairs[:, 0] + pairs[:, 1]) / math.sqrt(2.0)
-        lo = hi - detail.size
-        out[lo:hi] = detail
-        hi = lo
-    out[:hi] = a
+    _check_haar_dims(x.size, levels)
+    out = _butterflies(x, levels)
+    out *= _haar_norms(x.size, levels)
     return out
 
 
 def haar_inverse(c: np.ndarray, levels: int) -> np.ndarray:
-    """Inverse of :func:`haar_forward` (exact orthonormal round trip)."""
+    """Inverse of :func:`haar_forward` (an orthonormal round trip)."""
     c = np.asarray(c, dtype=np.float64)
-    p = c.size
-    _check_haar_dims(p, levels)
-    a = c[: p >> levels].copy()
-    for lev in range(levels, 0, -1):
-        detail = c[p >> lev : p >> (lev - 1)]
-        merged = np.empty(2 * a.size)
-        merged[0::2] = (a + detail) / math.sqrt(2.0)
-        merged[1::2] = (a - detail) / math.sqrt(2.0)
-        a = merged
+    _check_haar_dims(c.size, levels)
+    return _butterflies_t(c * _haar_norms(c.size, levels), levels)
+
+
+def _butterflies(v: np.ndarray, levels: int) -> np.ndarray:
+    """Unnormalized Haar analysis in :func:`haar_forward`'s layout: each
+    level maps a pair ``(a, b)`` to the difference ``a - b``, which it keeps,
+    and the sum ``a + b``, which the next level pairs again."""
+    out = np.empty(v.size)
+    a = v
+    for _ in range(levels):
+        m = a.size // 2
+        np.subtract(a[0::2], a[1::2], out=out[m : 2 * m])
+        a = a[0::2] + a[1::2]
+    out[: a.size] = a
+    return out
+
+
+def _butterflies_t(c: np.ndarray, levels: int) -> np.ndarray:
+    """Transpose of :func:`_butterflies`: each level, coarse to fine, maps a
+    sum ``s`` and a difference ``d`` to the pair ``(s + d, s - d)``."""
+    a = c[: c.size >> levels]
+    for _ in range(levels):
+        d = c[a.size : 2 * a.size]
+        pairs = np.empty(2 * a.size)
+        np.add(a, d, out=pairs[0::2])
+        np.subtract(a, d, out=pairs[1::2])
+        a = pairs
     return a
+
+
+def _haar_norms(p: int, levels: int) -> np.ndarray:
+    """The factors that make :func:`_butterflies` orthonormal: ``2**(-l/2)``
+    on the detail block of level ``l``, and ``2**(-levels/2)`` on the
+    approximation block."""
+    norms = np.empty(p)
+    for lev in range(1, levels + 1):  # each level overwrites the blocks below it
+        norms[: p >> (lev - 1)] = 2.0 ** (-lev / 2)
+    return norms
 
 
 def _check_haar_dims(p: int, levels: int) -> None:
@@ -102,6 +123,14 @@ class SensingOperator:
     ``i`` reads ``rfft_weight[i] * rfft(v).view(float64)[rfft_index[i]]``,
     the buffer of length ``p + 2`` that interleaves each bin's real and
     imaginary parts.
+
+    The implicit kind also derives three read-only arrays from those fields
+    at construction, so a copy made by ``dataclasses.replace`` derives its
+    own: ``_scale``, the Haar block factors of :func:`_haar_norms` divided by
+    ``col_scale``, which lets both maps run the unnormalized butterflies;
+    ``_adjoint_weight``, the row weights halved where irfft counts a bin
+    twice; and ``_mask``, the ``p + 2`` buffer that holds the product of the
+    two weights at the row map and 0 elsewhere.
     """
 
     n: int
@@ -113,6 +142,23 @@ class SensingOperator:
     rfft_index: Optional[np.ndarray] = None
     rfft_weight: Optional[np.ndarray] = None
     seed: Optional[int] = field(default=None, compare=False)
+    _scale: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _adjoint_weight: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                                  compare=False)
+    _mask: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind == "dense":
+            return
+        index, weight = self.rfft_index, self.rfft_weight
+        # irfft counts each bin between DC and Nyquist twice.
+        adjoint_weight = np.where((2 <= index) & (index < self.p), 0.5, 1.0) * weight
+        mask = np.zeros(self.p + 2)
+        mask[index] = adjoint_weight * weight
+        scale = _haar_norms(self.p, self.levels) / self.col_scale
+        for name, a in (("_scale", scale), ("_adjoint_weight", adjoint_weight), ("_mask", mask)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Forward map ``x -> Psi x``; counts as one matvec.
@@ -129,7 +175,7 @@ class SensingOperator:
                 support = x.nonzero()[0]
                 return self.matrix[:, support] @ x[support]
             return self.matrix @ x
-        spectrum = np.fft.rfft(haar_inverse(x / self.col_scale, self.levels))
+        spectrum = np.fft.rfft(_butterflies_t(self._scale * x, self.levels))
         return self.rfft_weight * spectrum.view(np.float64)[self.rfft_index]
 
     def apply_adjoint(self, r: np.ndarray) -> np.ndarray:
@@ -140,11 +186,26 @@ class SensingOperator:
         if self.kind == "dense":
             return self.matrix.T @ r
         spectrum = np.zeros(self.p + 2)
-        spectrum[self.rfft_index] = self.rfft_weight * r
-        # irfft counts each bin between DC and Nyquist twice.
-        spectrum[2 : self.p] *= 0.5
+        spectrum[self.rfft_index] = self._adjoint_weight * r
         v = np.fft.irfft(spectrum.view(np.complex128), n=self.p, norm="forward")
-        return haar_forward(v, self.levels) / self.col_scale
+        out = _butterflies(v, self.levels)
+        out *= self._scale
+        return out
+
+    def _gram_step(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``x + (c - Psi^t Psi x)`` of the partial-FFT-Haar kind, for
+        ``c = Psi^t y``, in one rfft and one irfft: the normal product is
+        ``_scale * H(irfft(_mask * rfft(H^t(_scale * x))))`` with ``H`` the
+        unnormalized butterflies, formed in the ``p + 2`` rfft buffer with no
+        gather, scatter or vector of length n."""
+        spectrum = np.fft.rfft(_butterflies_t(self._scale * x, self.levels))
+        buffer = spectrum.view(np.float64)
+        buffer *= self._mask
+        out = _butterflies(np.fft.irfft(spectrum, n=self.p, norm="forward"), self.levels)
+        out *= self._scale
+        np.subtract(c, out, out=out)
+        out += x
+        return out
 
     def densify(self) -> np.ndarray:
         """Materialize the operator as an ``n x p`` array (diagnostics only);

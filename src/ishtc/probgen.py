@@ -23,6 +23,7 @@ import numpy as np
 
 from .linop import (SensingOperator, check_fft_haar_sizes, dense_operator, make_partial_fft_haar,
                     normalize_columns)
+from .solver import _check_count
 from .storage import read_array, write_array, write_manifest
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -174,10 +175,11 @@ def check_problem_args(
     levels: int = 2,
 ) -> None:
     """Raise the ValueError :func:`gen_problem` raises for these arguments'
-    noise level, mixing weight, matrix kind, measurement count, fft-haar
-    sizes, sparsity or dynamic range, in that order, without drawing
-    anything. It takes ``gen_problem``'s arguments, so a list of draws can be
-    checked before the first is generated; ``seed`` is not checked."""
+    noise level, mixing weight, matrix kind, measurement count, signal
+    length, fft-haar sizes, sparsity or dynamic range, in that order, without
+    drawing anything; ``n``, ``p`` and ``s`` must be integers (not bools). It
+    takes ``gen_problem``'s arguments, so a list of draws can be checked
+    before the first is generated; ``seed`` is not checked."""
     if not 0 <= sigma < math.inf:  # also rejects NaN
         raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
     if nu is not None and not math.isfinite(nu):
@@ -188,8 +190,8 @@ def check_problem_args(
         if nu is None:
             raise ValueError("the correlated kind needs a mixing weight nu")
         _check_mixing_weight(nu)
-    if not n >= 1:
-        raise ValueError(f"measurement count must be >= 1, got {n}")
+    _check_count("measurement count", n, 1)
+    _check_count("signal length", p, 1)
     if matrix_kind == "fft-haar":
         check_fft_haar_sizes(p, n, levels)
     _check_signal(p, s, dr)
@@ -203,6 +205,7 @@ def _check_mixing_weight(nu: float) -> None:
 def _check_signal(p: int, s: int, dr: float) -> None:
     if not 1 <= s <= p:
         raise ValueError(f"sparsity must satisfy 1 <= s <= {p}, got {s}")
+    _check_count("sparsity", s, 1)
     if not 1 <= dr < math.inf:  # also rejects NaN
         raise ValueError(f"dynamic range must be finite and >= 1, got {dr}")
 

@@ -13,14 +13,23 @@ at smaller penalties, have been seen to stay saturated.
 
 Every step is :func:`inner_iterate`, and each level forms one residual
 ``y - Psi x`` at its last iterate, for the divergence check, the path record
-and the next level's first step. Route rule: on a dense operator with
-``n * p`` at or above :data:`GRAM_MIN_SIZE` the solve holds ``c = Psi^t y``
-and the Gram row ``G[j] = Psi^t psi_j`` of each column that has entered the
-support (one gemv when it first enters), and a step's gradient is
-``x + c - x[A] @ G[A]`` over the cached columns ``A``. Other operators, and a
-step whose support would take the cache past ``n // 4`` rows (a quarter of
-the matrix's bytes), take ``x + Psi^t (y - Psi x)``, two matvecs. Both routes
-compute the same step up to summation order.
+and the next level's first step. Route rule: the solve holds ``c = Psi^t y``
+on two cached routes, and computes it even when ``lambda0`` is given.
+
+- A dense operator with ``n * p`` at or above :data:`GRAM_MIN_SIZE` also
+  holds the Gram row ``G[j] = Psi^t psi_j`` of each column that has entered
+  the support (one gemv when it first enters), and a step's gradient is
+  ``x + c - x[A] @ G[A]`` over the cached columns ``A``. A step whose support
+  would take the cache past ``n // 4`` rows (a quarter of the matrix's
+  bytes) takes the two-matvec step.
+- A partial-FFT-Haar operator forms ``x + (c - Psi^t Psi x)`` in its rfft
+  buffer, one rfft and one irfft with no vector of length n, on every step
+  but a level's first. That one takes ``x + Psi^t r`` with the residual
+  ``r`` the level carries, one irfft. So a level costs ``2 * kmax``
+  transforms, as on the two-matvec route.
+- Other operators take ``x + Psi^t (y - Psi x)``, two matvecs.
+
+All routes compute the same step up to summation order.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ DEFAULT_PATH_LEN = 100
 #: is refused before the first level instead of running without end.
 MAX_INNER_STEPS = 10**6
 
-#: Smallest dense ``n * p`` that takes the cached route (module docstring).
+#: Smallest dense ``n * p`` that takes the Gram-row route (module docstring).
 #: Below it, paths outgrow the cache after paying for it: on criterion 7's
 #: 15x15 L1 grid at p=400 every path filled nearly all ``n // 4`` rows, one
 #: gemv each, and then took the two-matvec route for 26% of its steps where
@@ -214,10 +223,12 @@ class PathResult:
     ``matvec_cumulative`` is the paper's logical count of operator
     applications up to each level: 2 per inner iteration plus 1 adjoint when
     ``lambda0`` was auto-derived, worked out from the planned levels, cut
-    where the run stopped, rather than counted at run time. The cached route
-    of a large dense operator (module docstring) makes fewer calls than that
-    count. The residual norm of a level is that of ``y - Psi x`` at its last
-    iterate.
+    where the run stopped, rather than counted at run time. The cached
+    routes (module docstring) call ``apply`` and ``apply_adjoint`` less often
+    than that count: a Gram-row step calls neither, and a partial-FFT-Haar
+    level calls each once, running its other steps' transforms in one private
+    product. The residual norm of a level is that of ``y - Psi x`` at its
+    last iterate.
     ``stop_reason`` says why the solve ended: ``"path_len"`` (a path-mode
     solve ran all its planned levels), ``"saturated"`` (a path-mode solve
     reached a :func:`saturated` support) or ``"lambda_star"`` (the next
@@ -266,22 +277,22 @@ def inner_iterate(
     r: Optional[np.ndarray],
     lam: float,
     penalty: Penalty,
-    gram: Optional[_GramRows],
+    gram: Optional[Union[_GramRows, _SpectralGram]],
 ) -> np.ndarray:
     """One thresholded gradient step at unit stepsize from ``x``; returns the
-    new iterate. The gradient comes from ``gram`` when its cache holds the
-    support of ``x``, else from two matvecs: ``x + Psi^t r`` with ``r`` the
-    residual ``y - Psi x``, formed here when ``r`` is None."""
-    z = gram.step(x) if gram is not None else None
+    new iterate. The gradient comes from ``gram`` when that cached route takes
+    the step (module docstring), else from two matvecs: ``x + Psi^t r`` with
+    ``r`` the residual ``y - Psi x``, formed here when ``r`` is None."""
+    z = gram.step(x, r) if gram is not None else None
     if z is None:
         z = x + op.apply_adjoint(r if r is not None else y - op.apply(x))
     return threshold_vector(z, lam, penalty)
 
 
 class _GramRows:
-    """Per-solve cache of the cached route: ``c = Psi^t y`` and the Gram rows
-    ``G[j] = Psi^t psi_j`` of the columns that have entered the support, in
-    the order they entered, at most ``n // 4`` of them."""
+    """Per-solve cache of the dense cached route: ``c = Psi^t y`` and the Gram
+    rows ``G[j] = Psi^t psi_j`` of the columns that have entered the support,
+    in the order they entered, at most ``n // 4`` of them."""
 
     def __init__(self, matrix: np.ndarray, c: np.ndarray):
         n, p = matrix.shape
@@ -291,9 +302,9 @@ class _GramRows:
         self.cached = np.zeros(p, dtype=bool)
         self.size = 0
 
-    def step(self, x: np.ndarray) -> Optional[np.ndarray]:
+    def step(self, x: np.ndarray, r: Optional[np.ndarray]) -> Optional[np.ndarray]:
         """``x + Psi^t (y - Psi x)``, or None when the support of ``x`` would
-        take the cache past its rows."""
+        take the cache past its rows. A carried residual ``r`` is not needed."""
         support = np.flatnonzero(x)
         new = support[~self.cached[support]]
         k = self.size
@@ -306,6 +317,18 @@ class _GramRows:
         self.cached[new] = True
         self.size = k
         return x + (self.c - x[self.cols[:k]] @ self.rows[:k])
+
+
+class _SpectralGram:
+    """The partial-FFT-Haar cached route: ``c = Psi^t y`` and the operator."""
+
+    def __init__(self, op: SensingOperator, c: np.ndarray):
+        self.op, self.c = op, c
+
+    def step(self, x: np.ndarray, r: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """``x + (c - Psi^t Psi x)`` in two transforms, or None when the
+        residual ``r`` is carried, whose adjoint costs one."""
+        return None if r is not None else self.op._gram_step(x, self.c)
 
 
 def _plan(lam0: float, config: SolverConfig) -> List[float]:
@@ -362,13 +385,15 @@ def continuation_solve(
         raise ValueError(f"data norm is {y_norm}: NaN, infinite or overflowing entries")
 
     auto = config.lambda0 == "auto"
-    cached = op.kind == "dense" and op.n * op.p >= GRAM_MIN_SIZE
+    cached = op.kind != "dense" or op.n * op.p >= GRAM_MIN_SIZE
     c = op.apply_adjoint(y) if auto or cached else None
     # Largest level at which thresholding Psi^t y yields exactly 0, so the
     # zero start is the true minimizer there.
     lam0 = config.penalty.level(float(np.max(np.abs(c)))) if auto else float(config.lambda0)
     lambdas = _plan(lam0, config)
-    gram = _GramRows(op.matrix, c) if cached else None
+    gram = None
+    if cached:
+        gram = _GramRows(op.matrix, c) if op.kind == "dense" else _SpectralGram(op, c)
 
     path_mode = config.lambda_star == "path"
     stop_reason = "path_len" if path_mode else "lambda_star"

@@ -66,6 +66,5 @@ def threshold_vector(v: np.ndarray, lam: float, penalty: Penalty) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if penalty is Penalty.L1:
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-    out = v.copy()
-    out[np.abs(v) <= t] = 0.0
-    return out
+    # Not np.where(|v| > t, v, 0): that form would zero a NaN and hide a divergence.
+    return np.where(np.abs(v) <= t, 0.0, v)

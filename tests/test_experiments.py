@@ -197,6 +197,24 @@ def test_non_integer_counts_are_refused_before_any_trial(run, kwargs, monkeypatc
     assert not calls
 
 
+@pytest.mark.parametrize("run", [
+    lambda: phase_transition_grid([0.5], [0.1], p=16.0, trials=1, penalty=Penalty.L1),
+    lambda: phase_transition_grid([0.5], [0.1], p=True, trials=1, penalty=Penalty.L1),
+    lambda: support_probability_sweep(
+        SweepSpec(varied="s", values=(1.0,), replications=1,
+                  fixed={**TINY_SWEEP["fixed"], "n": 4.0}), Penalty.L1),
+    lambda: support_probability_sweep(
+        SweepSpec(varied="sigma", values=(0.0,), replications=1,
+                  fixed={**TINY_SWEEP["fixed"], "s": 2.0}), Penalty.L1),
+], ids=["phase-p-16.0", "phase-p-True", "sweep-n-4.0", "sweep-s-2.0"])
+def test_non_integer_sizes_are_refused_before_any_trial(run, monkeypatch):
+    """n, p and s must be integers (not bools), refused before the first draw."""
+    calls = _count_trials(monkeypatch)
+    with pytest.raises(ValueError, match="must be an integer"):
+        run()
+    assert not calls
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     sweep_to_csv([(10.0, 0.9), (20.0, 0.5)], out)

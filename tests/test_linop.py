@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import time
@@ -306,6 +307,32 @@ def test_partial_fft_haar_densify_oracle():
     r = rng.standard_normal(40)
     np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
     np.testing.assert_allclose(op.apply_adjoint(r), dense.T @ r, atol=1e-12)
+
+
+@pytest.mark.parametrize("p, n, levels", [(8, 6, 3), (64, 40, 1), (64, 40, 2), (64, 48, 6),
+                                          (2048, 1330, 2), (2048, 1500, 11)])
+def test_gram_step_is_the_two_matvec_step(p, n, levels):
+    """The normal product in the rfft buffer gives ``x + c - Psi^t Psi x``
+    to 1e-12, also at the depths where ``p >> levels == 1``."""
+    op = make_partial_fft_haar(p, n, levels, seed=p + levels)
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        x, c = rng.standard_normal(p), rng.standard_normal(p)
+        want = x + (c - op.apply_adjoint(op.apply(x)))
+        np.testing.assert_allclose(op._gram_step(x, c), want, rtol=0, atol=1e-12)
+
+
+def test_derived_arrays_follow_a_replaced_column_scale():
+    """``dataclasses.replace`` with new column scales derives new scales, so
+    even a roundoff change of them moves the products' bits."""
+    op = make_partial_fft_haar(1024, 665, levels=2, seed=0)
+    bumped = dataclasses.replace(op, col_scale=op.col_scale * (1.0 + 1.2e-15))
+    rng = np.random.default_rng(1)
+    x, c, r = rng.standard_normal(1024), rng.standard_normal(1024), rng.standard_normal(665)
+    assert bumped._gram_step(x, c).tobytes() != op._gram_step(x, c).tobytes()
+    assert bumped.apply(x).tobytes() != op.apply(x).tobytes()
+    assert bumped.apply_adjoint(r).tobytes() != op.apply_adjoint(r).tobytes()
+    np.testing.assert_allclose(bumped._gram_step(x, c), op._gram_step(x, c), rtol=0, atol=1e-12)
 
 
 def _real_dft_adjoint(u):

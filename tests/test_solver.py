@@ -245,13 +245,19 @@ STOPS = {"path": "path", "explicit": 0.05, "auto": TheoryParams(mu_s=0.05, c=3.0
 @pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
 @pytest.mark.parametrize("lambda0", ["auto", 3.0])
 @pytest.mark.parametrize("stop", list(STOPS))
-def test_carried_residual_matches_recomputing_loop(kind, penalty, lambda0, stop):
-    """Carrying the residual changes no bit of the path record."""
+def test_carried_residual_matches_recomputing_loop(kind, penalty, lambda0, stop, monkeypatch):
+    """Carrying the residual changes no bit of the path record of a dense
+    operator below the Gram-row floor. The partial-FFT-Haar kind's later
+    steps sum in another order, so it meets the cached-route contract."""
     problem = _oracle_problem(kind)
     lam_star = lambda_star(STOPS[stop], penalty) if stop == "auto" else STOPS[stop]
     cfg = SolverConfig(penalty=penalty, lambda0=lambda0, gamma=0.8, kmax=3,
                        lambda_star=lam_star, path_len_N=30)
-    ref = _recomputing_loop(problem.op, problem.y, cfg, None if stop == "path" else lam_star)
+    lam_stop = None if stop == "path" else lam_star
+    if kind == "fft-haar":
+        _assert_cached_route_matches_oracle(problem.op, problem.y, cfg, monkeypatch, lam_stop)
+        return
+    ref = _recomputing_loop(problem.op, problem.y, cfg, lam_stop)
     x_star, path = continuation_solve(problem.op, problem.y, cfg)
     for name in ("lambdas", "residual_norms", "objective_values", "matvec_cumulative"):
         assert np.array_equal(getattr(path, name), ref[name]), name
@@ -266,24 +272,25 @@ def test_carried_residual_matches_recomputing_loop(kind, penalty, lambda0, stop)
 
 
 @pytest.mark.parametrize("kind, penalty", [("fft-haar", Penalty.L0), ("gaussian", Penalty.L1)])
-def test_path_record_holds_supports_and_values(kind, penalty):
+def test_path_record_holds_supports_and_values(kind, penalty, monkeypatch):
     """Every level of the record builds the two-matvec oracle's solution, a
     level with its predecessor's support holds that index array itself, and
     the values plus the distinct supports take under 40% of the bytes of the
-    dense levels. The dense operator is below the cached route's floor, so
-    both solves take the same steps bit for bit."""
-    if kind == "fft-haar":  # the cli-fft-haar benchmark's shape at a quarter of its p
-        problem = gen_problem("fft-haar", n=1330, p=2048, s=494, dr=100.0, sigma=1e-4, seed=3,
-                              levels=2)
+    dense levels. The dense operator is below the Gram-row floor, so both
+    solves take the same steps bit for bit; the partial-FFT-Haar route meets
+    the cached-route contract."""
+    cfg = SolverConfig(penalty=penalty)
+    if kind == "fft-haar":
+        problem = _fft_haar_quarter_problem()
+        path, _ = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg, monkeypatch)
     else:
         problem = gen_problem("gaussian", n=200, p=1000, s=10, dr=100.0, sigma=1e-2, seed=4)
         assert problem.op.n * problem.op.p < solver.GRAM_MIN_SIZE
-    cfg = SolverConfig(penalty=penalty)
-    ref = _recomputing_loop(problem.op, problem.y, cfg, None)
-    _, path = continuation_solve(problem.op, problem.y, cfg)
-    assert len(path) == len(ref["solutions"])
-    for level, want in enumerate(ref["solutions"]):
-        assert np.array_equal(path.solution(level), want), level
+        ref = _recomputing_loop(problem.op, problem.y, cfg, None)
+        _, path = continuation_solve(problem.op, problem.y, cfg)
+        assert len(path) == len(ref["solutions"])
+        for level, want in enumerate(ref["solutions"]):
+            assert np.array_equal(path.solution(level), want), level
     pairs = list(zip(path.supports, path.supports[1:]))
     same = [np.array_equal(a, b) for a, b in pairs]
     assert any(same)
@@ -320,12 +327,12 @@ def _fallback_steps(monkeypatch):
     return steps
 
 
-def _assert_cached_route_matches_oracle(op, y, cfg, monkeypatch):
+def _assert_cached_route_matches_oracle(op, y, cfg, monkeypatch, lam_stop=None):
     """Same levels, stop and support at every level as the two-matvec
     oracle, residual norms equal to 1e-9 relative, and the same BIC pick.
     Returns the path and the solve's count of two-matvec steps."""
-    assert op.kind == "dense" and op.n * op.p >= solver.GRAM_MIN_SIZE
-    ref = _recomputing_loop(op, y, cfg, None)
+    assert op.kind != "dense" or op.n * op.p >= solver.GRAM_MIN_SIZE
+    ref = _recomputing_loop(op, y, cfg, lam_stop)
     steps = _fallback_steps(monkeypatch)
     _, path = continuation_solve(op, y, cfg)
     assert np.array_equal(path.lambdas, ref["lambdas"])
@@ -349,6 +356,21 @@ def test_cached_route_matches_two_matvec_oracle(s, seed, penalty, monkeypatch):
     cfg = SolverConfig(penalty=penalty)
     path, steps = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg, monkeypatch)
     assert steps < cfg.kmax * (len(path) - 1)  # the cached route ran
+
+
+def _fft_haar_quarter_problem():
+    """The cli-fft-haar benchmark's shape at a quarter of its p."""
+    return gen_problem("fft-haar", n=1330, p=2048, s=494, dr=100.0, sigma=1e-4, seed=3, levels=2)
+
+
+@pytest.mark.parametrize("penalty", [Penalty.L0, Penalty.L1])
+def test_fft_haar_route_matches_two_matvec_oracle(penalty, monkeypatch):
+    """The partial-FFT-Haar route meets the cached-route contract, and its
+    only two-matvec steps are the first of each level."""
+    problem = _fft_haar_quarter_problem()
+    cfg = SolverConfig(penalty=penalty)
+    path, steps = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg, monkeypatch)
+    assert steps == len(path) - 1
 
 
 @pytest.mark.parametrize("n, p, s, penalty", [(500, 1000, 100, Penalty.L1),
@@ -433,18 +455,35 @@ def test_overflowing_residual_norm_is_divergence():
 @pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
 @pytest.mark.parametrize("lambda0", ["auto", 3.0])
 def test_every_operator_application_is_counted(kind, path_len, penalty, lambda0, monkeypatch):
+    """A dense solve below the Gram-row floor calls the operator as often as
+    the path counts. A partial-FFT-Haar solve calls the forward map once per
+    level and the adjoint once per level plus once for ``c``; its FFTs are
+    the path's count, plus the adjoint for ``c`` when ``lambda0`` is given."""
     problem = _oracle_problem(kind)
     calls = []
     for name in ("apply", "apply_adjoint"):
-        def counted(self, *args, _orig=getattr(SensingOperator, name), **kwargs):
-            calls.append(1)
+        def counted(self, *args, _orig=getattr(SensingOperator, name), _name=name, **kwargs):
+            calls.append(_name)
             return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(SensingOperator, name, counted)
+    transforms = []
+    for name in ("rfft", "irfft"):
+        def fft(*args, _orig=getattr(np.fft, name), **kwargs):
+            transforms.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, fft)
     cfg = SolverConfig(penalty=penalty, lambda0=lambda0, gamma=0.8, lambda_star="path",
                        path_len_N=path_len)
     _, path = continuation_solve(problem.op, problem.y, cfg)
-    assert len(calls) == path.n_matvec == path.matvec_cumulative[-1]
+    assert path.n_matvec == path.matvec_cumulative[-1]
+    if kind == "fft-haar":
+        levels = len(path) - 1
+        assert (calls.count("apply"), calls.count("apply_adjoint")) == (levels, levels + 1)
+        assert len(transforms) == path.n_matvec + (lambda0 != "auto")
+    else:
+        assert len(calls) == path.n_matvec
     if path_len == 100:  # a plan cut short is counted as exactly
         assert path.stop_reason == "saturated" and len(path) < 101
 

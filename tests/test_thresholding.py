@@ -150,3 +150,18 @@ def test_soft_shrinks_magnitude(t, lam):
     out = soft_threshold(t, lam)
     assert abs(out) <= abs(t)
     assert out * t >= 0.0
+
+
+@pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
+def test_non_finite_entries_survive_both_thresholds(penalty):
+    """NaN and infinite entries pass through, so a diverging iterate stays
+    visible; the hard threshold is byte for byte the copy that zeroes every
+    entry at or below the cut, -0.0 included."""
+    v = np.array([math.nan, math.inf, -math.inf, 0.5, -0.0, 2.0, -2.0, 3.0, -1e300])
+    out = threshold_vector(v, 2.0, penalty)
+    assert np.isnan(out[0]) and out[1] == math.inf and out[2] == -math.inf
+    assert np.all(np.isfinite(out[3:]))
+    if penalty is Penalty.L0:
+        want = v.copy()
+        want[np.abs(v) <= 2.0] = 0.0
+        assert out.tobytes() == want.tobytes()
