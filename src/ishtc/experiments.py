@@ -50,7 +50,8 @@ BENCH_COLUMNS = ("p", "n", "s", "time_s", "n_matvec", "rel_l2", "abs_linf", "div
 
 
 def _task_seed(base_seed: int, *key: int) -> int:
-    """Stable per-task master seed from a base seed and integer indices."""
+    """Stable per-task master seed from a base seed (an integer >= 0) and integer indices."""
+    _check_count("seed", base_seed, 0)
     ss = np.random.SeedSequence(base_seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

@@ -5,10 +5,10 @@ matrix (stored column-major, since column access dominates normalization and
 coherence work) and a matrix-free composition of an inverse orthonormal Haar
 transform with a seeded selection of rows of the real unitary DFT, which
 reads and writes its rows straight from numpy's ``rfft`` buffer through a
-row map built once. Its maps run one pair of unnormalized Haar butterflies,
-with the orthonormal block factors folded into the column scales, and its
-private normal product ``Psi^t Psi`` serves the solver's cached route.
-Operators are immutable after construction and keep no per-run state.
+row map built once. Its maps share one analysis half (``rfft`` after the
+unnormalized Haar butterflies) and one synthesis half, with the orthonormal
+block factors folded into the column scales. Operators are immutable after
+construction and keep no per-run state.
 
 The dense forward map is charged for the support of its input, not for p:
 when fewer than ``p / 8`` entries of ``x`` are nonzero and ``n * p`` is at
@@ -16,13 +16,28 @@ least :data:`RESTRICTED_MIN_SIZE`, it computes ``matrix[:, S] @ x[S]`` over
 the support ``S`` only; otherwise the full ``matrix @ x``. Both give the
 same product up to summation order (a few ulps), and either counts as one
 matvec. The adjoint always runs in full.
+
+:meth:`SensingOperator.cached_route` sets how a solve's steps form the
+gradient ``x + Psi^t (y - Psi x)``; all routes give the same step up to
+summation order:
+
+- dense, ``n * p`` below :data:`GRAM_MIN_SIZE`: two matvecs per step.
+- dense at or above it: ``c = Psi^t y`` and the Gram row ``G[j] = Psi^t psi_j``
+  of each column that has entered the support (one gemv when it enters);
+  a step is ``x + c - x[A] @ G[A]`` over the cached columns ``A``, or two
+  matvecs when its support would take the cache past ``n // 4`` rows (a
+  quarter of the matrix's bytes).
+- partial-FFT-Haar: ``c``, and ``x + (c - Psi^t Psi x)`` in the rfft buffer
+  (one rfft, one irfft) on every step but one that carries the residual
+  ``r``, which takes ``x + Psi^t r`` (one irfft). A level costs ``2 * kmax``
+  transforms, as two-matvec steps would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +49,14 @@ COHERENCE_BUDGET_P = 4096
 #: the product to the support of ``x`` (when that support is below ``p / 8``).
 #: Below it the column gather costs more than the full product saves.
 RESTRICTED_MIN_SIZE = 1 << 16
+
+#: Smallest dense ``n * p`` that takes the Gram-row route (module docstring).
+#: Below it, paths outgrow the cache after paying for it: on criterion 7's
+#: 15x15 L1 grid at p=400 every path filled nearly all ``n // 4`` rows, one
+#: gemv each, and then took the two-matvec route for 26% of its steps where
+#: rho <= 0.3 and 67% elsewhere. With the floor at 0 the route saved 3% of
+#: CPU time on the first cells and cost 35% on the others.
+GRAM_MIN_SIZE = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +198,7 @@ class SensingOperator:
                 support = x.nonzero()[0]
                 return self.matrix[:, support] @ x[support]
             return self.matrix @ x
-        spectrum = np.fft.rfft(_butterflies_t(self._scale * x, self.levels))
-        return self.rfft_weight * spectrum.view(np.float64)[self.rfft_index]
+        return self.rfft_weight * self._analysis(x)[self.rfft_index]
 
     def apply_adjoint(self, r: np.ndarray) -> np.ndarray:
         """Adjoint map ``r -> Psi^t r``; counts as one matvec."""
@@ -185,24 +207,39 @@ class SensingOperator:
             raise ValueError(f"expected residual of length {self.n}, got shape {r.shape}")
         if self.kind == "dense":
             return self.matrix.T @ r
-        spectrum = np.zeros(self.p + 2)
-        spectrum[self.rfft_index] = self._adjoint_weight * r
-        v = np.fft.irfft(spectrum.view(np.complex128), n=self.p, norm="forward")
+        buffer = np.zeros(self.p + 2)
+        buffer[self.rfft_index] = self._adjoint_weight * r
+        return self._synthesis(buffer)
+
+    def cached_route(self, y: np.ndarray) -> Tuple[Optional[np.ndarray], Optional[Callable]]:
+        """``(c, step)`` by the route rule (module docstring), or ``(None, None)``
+        when every step takes two matvecs. ``c = Psi^t y`` costs one adjoint;
+        ``step(x, r)`` is ``x + (c - Psi^t Psi x)``, or None for a two-matvec step."""
+        if self.kind == "dense" and self.n * self.p < GRAM_MIN_SIZE:
+            return None, None
+        c = self.apply_adjoint(y)
+        if self.kind == "dense":
+            return c, _GramRows(self.matrix, c).step
+        return c, lambda x, r: None if r is not None else self._gram_step(x, c)
+
+    def _analysis(self, x: np.ndarray) -> np.ndarray:
+        """The ``p + 2`` buffer of ``rfft(H^t(_scale * x))``, ``H`` the butterflies."""
+        return np.fft.rfft(_butterflies_t(self._scale * x, self.levels)).view(np.float64)
+
+    def _synthesis(self, buffer: np.ndarray) -> np.ndarray:
+        """``_scale * H(irfft(buffer))`` of a ``p + 2`` buffer: :meth:`_analysis`
+        transposed, once weights halve each bin that irfft counts twice."""
+        v = np.fft.irfft(buffer.view(np.complex128), n=self.p, norm="forward")
         out = _butterflies(v, self.levels)
         out *= self._scale
         return out
 
     def _gram_step(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """``x + (c - Psi^t Psi x)`` of the partial-FFT-Haar kind, for
-        ``c = Psi^t y``, in one rfft and one irfft: the normal product is
-        ``_scale * H(irfft(_mask * rfft(H^t(_scale * x))))`` with ``H`` the
-        unnormalized butterflies, formed in the ``p + 2`` rfft buffer with no
-        gather, scatter or vector of length n."""
-        spectrum = np.fft.rfft(_butterflies_t(self._scale * x, self.levels))
-        buffer = spectrum.view(np.float64)
+        """``x + (c - Psi^t Psi x)``: the analysis buffer times ``_mask``,
+        synthesized, with no gather, scatter or vector of length n."""
+        buffer = self._analysis(x)
         buffer *= self._mask
-        out = _butterflies(np.fft.irfft(spectrum, n=self.p, norm="forward"), self.levels)
-        out *= self._scale
+        out = self._synthesis(buffer)
         np.subtract(c, out, out=out)
         out += x
         return out
@@ -219,6 +256,37 @@ class SensingOperator:
             cols[:, j] = self.apply(e)
             e[j] = 0.0
         return cols
+
+
+class _GramRows:
+    """Per-solve cache of the dense cached route: ``c = Psi^t y`` and the Gram
+    rows ``G[j] = Psi^t psi_j`` of the columns that have entered the support,
+    in the order they entered, at most ``n // 4`` of them, allocated at the
+    first step (so a solve refused before it allocates none)."""
+
+    def __init__(self, matrix: np.ndarray, c: np.ndarray):
+        self.matrix, self.c = matrix, c
+        self.rows, self.size = None, 0
+        self.cols = np.empty(min(len(matrix) // 4, len(c)), dtype=np.intp)
+        self.cached = np.zeros(len(c), dtype=bool)
+
+    def step(self, x: np.ndarray, r: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """``x + Psi^t (y - Psi x)``, or None when the support of ``x`` would
+        take the cache past its rows. A carried residual ``r`` is not needed."""
+        support = np.flatnonzero(x)
+        new = support[~self.cached[support]]
+        k = self.size
+        if k + new.size > len(self.cols):
+            return None
+        if self.rows is None:
+            self.rows = np.empty((len(self.cols), len(self.c)))
+        for j in new:
+            np.matmul(self.matrix.T, self.matrix[:, j], out=self.rows[k])
+            self.cols[k] = j
+            k += 1
+        self.cached[new] = True
+        self.size = k
+        return x + (self.c - x[self.cols[:k]] @ self.rows[:k])
 
 
 def dense_operator(matrix: np.ndarray) -> SensingOperator:
@@ -241,12 +309,17 @@ def dense_operator(matrix: np.ndarray) -> SensingOperator:
 def normalize_columns(raw: np.ndarray) -> SensingOperator:
     """Build a generated matrix's operator: copy ``raw`` once into a read-only
     column-major buffer divided in place by ``raw``'s column norms. ``raw``
-    itself is not changed."""
+    itself is not changed. A column whose norm is 0 or not finite is a
+    ValueError."""
     raw = np.asarray(raw, dtype=np.float64)
-    scales = np.linalg.norm(raw, axis=0)
-    zero = np.flatnonzero(scales == 0.0)
-    if zero.size:
-        raise ValueError(f"column {int(zero[0])} is the zero vector")
+    # Refuses NaN, infinite and overflowing (above about 1e154) entries, warning-free.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = np.linalg.norm(raw, axis=0)
+    bad = np.flatnonzero((scales == 0.0) | ~np.isfinite(scales))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"column {j} is the zero vector" if scales[j] == 0.0 else
+                         f"column {j} has norm {scales[j]}: NaN, infinite or overflowing entries")
     mat = np.array(raw, order="F")
     mat /= scales
     mat.setflags(write=False)

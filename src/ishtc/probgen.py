@@ -80,7 +80,8 @@ def gen_correlated_gaussian(n: int, p: int, nu: float, seed: SeedLike) -> Sensin
     z = rng.standard_normal((n, p))
     if nu != 0:
         a, b = z[:, 0 : p - 1 : 2], z[:, 1::2]
-        a[...], b[...] = a + nu * b, nu * a + b
+        with np.errstate(over="ignore", invalid="ignore"):  # normalize_columns refuses it
+            a[...], b[...] = a + nu * b, nu * a + b
     return normalize_columns(z)
 
 
@@ -136,6 +137,10 @@ def gen_problem(
     given, is used in place of that draw: it must be the ``op`` of a problem
     drawn with the same ``matrix_kind``, ``n``, ``p``, ``nu``, ``seed`` and
     ``levels``, as an experiment task passes from one draw to the next.
+
+    A noise or data norm that is not finite (a huge ``sigma`` or ``dr``) is a
+    ValueError, as in :func:`~ishtc.solver.continuation_solve`; so is a huge
+    ``nu``, through ``normalize_columns``.
     """
     check_problem_args(matrix_kind, n, p, s, dr, sigma, nu, seed, levels)
     if op is None:
@@ -148,7 +153,13 @@ def gen_problem(
             op = gen_correlated_gaussian(n, p, nu if matrix_kind == "correlated" else 0.0, mat_ss)
     x_true = gen_sparse_signal(p, s, dr, _substream(seed, _SIGNAL_STREAM))
     noise = sigma * np.random.default_rng(_substream(seed, _NOISE_STREAM)).standard_normal(n)
-    y = op.apply(x_true) + noise
+    # The solver's rule: NaN, infinite and overflowing norms are refused, warning-free.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = op.apply(x_true) + noise
+        epsilon, y_norm = float(np.linalg.norm(noise)), float(np.linalg.norm(y))
+    if not (math.isfinite(epsilon) and math.isfinite(y_norm)):
+        raise ValueError(f"noise norm is {epsilon} and data norm is {y_norm}; both must be "
+                         "finite (lower sigma or dr)")
     meta = {
         "matrix_kind": matrix_kind,
         "n": n,
@@ -160,7 +171,7 @@ def gen_problem(
         "levels": levels if matrix_kind == "fft-haar" else None,
         "seed": seed,
     }
-    return Problem(op=op, x_true=x_true, y=y, epsilon=float(np.linalg.norm(noise)), meta=meta)
+    return Problem(op=op, x_true=x_true, y=y, epsilon=epsilon, meta=meta)
 
 
 def check_problem_args(
@@ -176,10 +187,10 @@ def check_problem_args(
 ) -> None:
     """Raise the ValueError :func:`gen_problem` raises for these arguments'
     noise level, mixing weight, matrix kind, measurement count, signal
-    length, fft-haar sizes, sparsity or dynamic range, in that order, without
-    drawing anything; ``n``, ``p`` and ``s`` must be integers (not bools). It
-    takes ``gen_problem``'s arguments, so a list of draws can be checked
-    before the first is generated; ``seed`` is not checked."""
+    length, fft-haar sizes, sparsity, dynamic range or seed, in that order,
+    without drawing anything; ``n``, ``p``, ``s`` and ``seed`` must be integers
+    (not bools), and ``seed`` >= 0. It takes ``gen_problem``'s arguments, so a
+    list of draws can be checked before the first is generated."""
     if not 0 <= sigma < math.inf:  # also rejects NaN
         raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
     if nu is not None and not math.isfinite(nu):
@@ -195,6 +206,7 @@ def check_problem_args(
     if matrix_kind == "fft-haar":
         check_fft_haar_sizes(p, n, levels)
     _check_signal(p, s, dr)
+    _check_count("seed", seed, 0)
 
 
 def _check_mixing_weight(nu: float) -> None:

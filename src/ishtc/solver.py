@@ -13,23 +13,8 @@ at smaller penalties, have been seen to stay saturated.
 
 Every step is :func:`inner_iterate`, and each level forms one residual
 ``y - Psi x`` at its last iterate, for the divergence check, the path record
-and the next level's first step. Route rule: the solve holds ``c = Psi^t y``
-on two cached routes, and computes it even when ``lambda0`` is given.
-
-- A dense operator with ``n * p`` at or above :data:`GRAM_MIN_SIZE` also
-  holds the Gram row ``G[j] = Psi^t psi_j`` of each column that has entered
-  the support (one gemv when it first enters), and a step's gradient is
-  ``x + c - x[A] @ G[A]`` over the cached columns ``A``. A step whose support
-  would take the cache past ``n // 4`` rows (a quarter of the matrix's
-  bytes) takes the two-matvec step.
-- A partial-FFT-Haar operator forms ``x + (c - Psi^t Psi x)`` in its rfft
-  buffer, one rfft and one irfft with no vector of length n, on every step
-  but a level's first. That one takes ``x + Psi^t r`` with the residual
-  ``r`` the level carries, one irfft. So a level costs ``2 * kmax``
-  transforms, as on the two-matvec route.
-- Other operators take ``x + Psi^t (y - Psi x)``, two matvecs.
-
-All routes compute the same step up to summation order.
+and the next level's first step. How a step forms its gradient is the
+operator's route rule (:meth:`ishtc.linop.SensingOperator.cached_route`).
 """
 
 from __future__ import annotations
@@ -38,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,14 +39,6 @@ DEFAULT_PATH_LEN = 100
 #: Most inner steps (``kmax`` x levels) one solve may plan; a config past it
 #: is refused before the first level instead of running without end.
 MAX_INNER_STEPS = 10**6
-
-#: Smallest dense ``n * p`` that takes the Gram-row route (module docstring).
-#: Below it, paths outgrow the cache after paying for it: on criterion 7's
-#: 15x15 L1 grid at p=400 every path filled nearly all ``n // 4`` rows, one
-#: gemv each, and then took the two-matvec route for 26% of its steps where
-#: rho <= 0.3 and 67% elsewhere. With the floor at 0 the route saved 3% of
-#: CPU time on the first cells and cost 35% on the others.
-GRAM_MIN_SIZE = 1 << 18
 
 
 class DivergenceError(RuntimeError):
@@ -224,7 +201,7 @@ class PathResult:
     applications up to each level: 2 per inner iteration plus 1 adjoint when
     ``lambda0`` was auto-derived, worked out from the planned levels, cut
     where the run stopped, rather than counted at run time. The cached
-    routes (module docstring) call ``apply`` and ``apply_adjoint`` less often
+    routes of :mod:`ishtc.linop` call ``apply`` and ``apply_adjoint`` less often
     than that count: a Gram-row step calls neither, and a partial-FFT-Haar
     level calls each once, running its other steps' transforms in one private
     product. The residual norm of a level is that of ``y - Psi x`` at its
@@ -277,58 +254,16 @@ def inner_iterate(
     r: Optional[np.ndarray],
     lam: float,
     penalty: Penalty,
-    gram: Optional[Union[_GramRows, _SpectralGram]],
+    step: Optional[Callable],
 ) -> np.ndarray:
     """One thresholded gradient step at unit stepsize from ``x``; returns the
-    new iterate. The gradient comes from ``gram`` when that cached route takes
-    the step (module docstring), else from two matvecs: ``x + Psi^t r`` with
-    ``r`` the residual ``y - Psi x``, formed here when ``r`` is None."""
-    z = gram.step(x, r) if gram is not None else None
+    new iterate. The gradient comes from a cached route's ``step`` when it
+    takes the step, else from two matvecs: ``x + Psi^t r`` with ``r`` the
+    residual ``y - Psi x``, formed here when ``r`` is None."""
+    z = step(x, r) if step is not None else None
     if z is None:
         z = x + op.apply_adjoint(r if r is not None else y - op.apply(x))
     return threshold_vector(z, lam, penalty)
-
-
-class _GramRows:
-    """Per-solve cache of the dense cached route: ``c = Psi^t y`` and the Gram
-    rows ``G[j] = Psi^t psi_j`` of the columns that have entered the support,
-    in the order they entered, at most ``n // 4`` of them."""
-
-    def __init__(self, matrix: np.ndarray, c: np.ndarray):
-        n, p = matrix.shape
-        self.matrix, self.c = matrix, c
-        self.rows = np.empty((min(n // 4, p), p))
-        self.cols = np.empty(len(self.rows), dtype=np.intp)
-        self.cached = np.zeros(p, dtype=bool)
-        self.size = 0
-
-    def step(self, x: np.ndarray, r: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """``x + Psi^t (y - Psi x)``, or None when the support of ``x`` would
-        take the cache past its rows. A carried residual ``r`` is not needed."""
-        support = np.flatnonzero(x)
-        new = support[~self.cached[support]]
-        k = self.size
-        if k + new.size > len(self.rows):
-            return None
-        for j in new:
-            np.matmul(self.matrix.T, self.matrix[:, j], out=self.rows[k])
-            self.cols[k] = j
-            k += 1
-        self.cached[new] = True
-        self.size = k
-        return x + (self.c - x[self.cols[:k]] @ self.rows[:k])
-
-
-class _SpectralGram:
-    """The partial-FFT-Haar cached route: ``c = Psi^t y`` and the operator."""
-
-    def __init__(self, op: SensingOperator, c: np.ndarray):
-        self.op, self.c = op, c
-
-    def step(self, x: np.ndarray, r: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """``x + (c - Psi^t Psi x)`` in two transforms, or None when the
-        residual ``r`` is carried, whose adjoint costs one."""
-        return None if r is not None else self.op._gram_step(x, self.c)
 
 
 def _plan(lam0: float, config: SolverConfig) -> List[float]:
@@ -385,15 +320,12 @@ def continuation_solve(
         raise ValueError(f"data norm is {y_norm}: NaN, infinite or overflowing entries")
 
     auto = config.lambda0 == "auto"
-    cached = op.kind != "dense" or op.n * op.p >= GRAM_MIN_SIZE
-    c = op.apply_adjoint(y) if auto or cached else None
+    c, step = op.cached_route(y)
+    c = op.apply_adjoint(y) if auto and c is None else c
     # Largest level at which thresholding Psi^t y yields exactly 0, so the
     # zero start is the true minimizer there.
     lam0 = config.penalty.level(float(np.max(np.abs(c)))) if auto else float(config.lambda0)
     lambdas = _plan(lam0, config)
-    gram = None
-    if cached:
-        gram = _GramRows(op.matrix, c) if op.kind == "dense" else _SpectralGram(op, c)
 
     path_mode = config.lambda_star == "path"
     stop_reason = "path_len" if path_mode else "lambda_star"
@@ -408,7 +340,7 @@ def continuation_solve(
         # residual non-finite, so one check of its norm covers both.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(config.kmax):
-                x = inner_iterate(op, y, x, r if k == 0 else None, lam, config.penalty, gram)
+                x = inner_iterate(op, y, x, r if k == 0 else None, lam, config.penalty, step)
             r = y - op.apply(x)
             rnorm = float(np.linalg.norm(r))
         if not math.isfinite(rnorm):

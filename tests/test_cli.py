@@ -401,6 +401,7 @@ def _count_trials(mp):
     ("bench", ["--sizes", ""]), ("bench", ["--sizes", "3"]), ("bench", ["--sizes", "16,3"]),
     ("sweep", ["--workers", "0"]), ("phase", ["--workers", "-3"]), ("bench", ["--workers", "0"]),
     ("phase", ["--threshold", "nan"]), ("phase", ["--threshold", "-0.5"]),
+    ("sweep", ["--seed", "-3"]), ("phase", ["--seed", "-1"]), ("bench", ["--seed", "-1"]),
 ])
 def test_experiment_refusals_exit_2_before_any_trial(command, flags, tmp_path, capsys,
                                                      monkeypatch):
@@ -542,6 +543,24 @@ def test_gen_refuses_non_finite_parameters_exit_2(flag, kind, value, tmp_path, c
     assert rc == EXIT_SCHEMA
     assert json.loads(capsys.readouterr().err.strip())["exit_code"] == EXIT_SCHEMA
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--kind", "gaussian", "--n", "5", "--p", "10", "--sigma", "1e200"], "noise norm is inf"),
+    (["--kind", "correlated", "--nu", "1e200", "--n", "6", "--p", "10"], "column 0 has norm inf"),
+    (["--kind", "correlated", "--nu", "1e308", "--n", "6", "--p", "10"], "column 0 has norm inf"),
+    (["--kind", "gaussian", "--n", "5", "--p", "10", "--dr", "1e308"], "data norm is inf"),
+    (["--kind", "gaussian", "--n", "5", "--p", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["sigma", "nu-1e200", "nu-1e308", "dr", "negative-seed"])
+def test_gen_refuses_overflowing_draws_exit_2(flags, fragment, tmp_path, capsys):
+    """A draw that overflows, or a negative seed, exits 2 with one JSON line on
+    stderr and no numpy warning, before any file is written."""
+    out = tmp_path / "prob"
+    assert main(["gen", *flags, "--s", "2", "--out", str(out)]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert fragment in json.loads(captured.err)["error"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, output", [("path", "x_best.bin"), ("solve", "x_star.bin")])

@@ -215,6 +215,21 @@ def test_non_integer_sizes_are_refused_before_any_trial(run, monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("seed, fragment", [(-3, "seed must be >= 0, got -3"),
+                                            (True, "seed must be an integer, got True")])
+@pytest.mark.parametrize("run", [_phase, _bench], ids=["phase", "bench"])
+def test_base_seed_is_checked_before_any_trial(run, seed, fragment, monkeypatch):
+    """A negative or bool base seed is refused by name before the first trial."""
+    calls = _count_trials(monkeypatch)
+    with pytest.raises(ValueError, match=fragment):
+        run(base_seed=seed)
+    with pytest.raises(ValueError, match=fragment):
+        support_probability_sweep(SweepSpec(varied="s", values=(1.0,), replications=1,
+                                            fixed=TINY_SWEEP["fixed"], base_seed=seed),
+                                  Penalty.L1)
+    assert not calls
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     sweep_to_csv([(10.0, 0.9), (20.0, 0.5)], out)

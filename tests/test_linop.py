@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ishtc.linop import (
     COHERENCE_BUDGET_P,
+    GRAM_MIN_SIZE,
     RESTRICTED_MIN_SIZE,
     SensingOperator,
     _column_energy,
@@ -226,6 +227,16 @@ def test_normalize_zero_column_error_names_index():
         normalize_columns(raw)
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, 1e200],
+                         ids=["inf", "-inf", "nan", "1e200"])
+def test_normalize_non_finite_column_norm_error_names_index(entry):
+    """A column whose norm is infinite, NaN or overflows is refused, warning-free."""
+    raw = np.ones((4, 3))
+    raw[1, 1] = entry
+    with pytest.raises(ValueError, match="column 1 has norm (inf|nan): NaN, infinite"):
+        normalize_columns(raw)
+
+
 @pytest.mark.parametrize("levels", [1, 2, 3])
 def test_haar_round_trip(levels):
     rng = np.random.default_rng(9)
@@ -320,6 +331,33 @@ def test_gram_step_is_the_two_matvec_step(p, n, levels):
         x, c = rng.standard_normal(p), rng.standard_normal(p)
         want = x + (c - op.apply_adjoint(op.apply(x)))
         np.testing.assert_allclose(op._gram_step(x, c), want, rtol=0, atol=1e-12)
+
+
+def test_cached_route_rule():
+    """A dense operator just below GRAM_MIN_SIZE has no route; one at it gets
+    the Gram-row step, whose rows wait for the first step, and which takes a
+    step also when a residual is carried; a partial-FFT-Haar operator gets a
+    step that returns None exactly when a residual is given. Each ``c`` is
+    ``apply_adjoint(y)`` bit for bit."""
+    rng = np.random.default_rng(3)
+    n = 256
+    below = normalize_columns(rng.standard_normal((n, GRAM_MIN_SIZE // n - 1)))
+    assert below.cached_route(rng.standard_normal(n)) == (None, None)
+    for op in (normalize_columns(rng.standard_normal((n, GRAM_MIN_SIZE // n))),
+               make_partial_fft_haar(1024, 665, levels=2, seed=0)):
+        y = rng.standard_normal(op.n)
+        c, step = op.cached_route(y)
+        assert c.tobytes() == op.apply_adjoint(y).tobytes()
+        x = np.zeros(op.p)
+        x[rng.choice(op.p, 5, replace=False)] = rng.standard_normal(5)
+        r = y - op.apply(x)
+        want = x + op.apply_adjoint(r)
+        if op.kind == "dense":
+            assert step.__self__.rows is None
+            np.testing.assert_allclose(step(x, r), want, rtol=0, atol=1e-12)
+        else:
+            assert step(x, r) is None
+        np.testing.assert_allclose(step(x, None), want, rtol=0, atol=1e-12)
 
 
 def test_derived_arrays_follow_a_replaced_column_scale():

@@ -8,6 +8,7 @@ from scipy import stats
 
 from ishtc.linop import mutual_coherence
 from ishtc.probgen import (
+    check_problem_args,
     gen_bernoulli_matrix,
     gen_correlated_gaussian,
     gen_problem,
@@ -220,6 +221,31 @@ def test_problem_measurement_count_below_one(kind, n):
     """Refused by the argument check, before any operator constructor sees it."""
     with pytest.raises(ValueError, match="measurement count must be >= 1"):
         gen_problem(kind, n=n, p=16, s=2, dr=10.0, sigma=0.0, seed=0)
+
+
+@pytest.mark.parametrize("kind, kwargs, fragment", [
+    ("gaussian", {"sigma": 1e200}, "noise norm is inf and data norm is inf"),
+    ("correlated", {"nu": 1e200}, "column 0 has norm inf"),
+    ("correlated", {"nu": 1e308}, "column 0 has norm inf"),
+    ("gaussian", {"dr": 1e308}, "noise norm is 0.0 and data norm is inf"),
+    ("fft-haar", {"dr": 1e308}, "noise norm is 0.0 and data norm is inf"),
+], ids=["sigma", "nu-1e200", "nu-1e308", "dr", "dr-fft-haar"])
+def test_problem_overflowing_draw_is_refused(kind, kwargs, fragment):
+    """A draw whose matrix, noise or data overflows is a ValueError, with no
+    numpy warning, instead of a problem that no solver accepts."""
+    args = {**dict(n=6, p=16, s=2, dr=10.0, sigma=0.0, seed=0), **kwargs}
+    with pytest.raises(ValueError, match=fragment):
+        gen_problem(kind, **args)
+
+
+@pytest.mark.parametrize("seed, fragment", [(-1, "seed must be >= 0, got -1"),
+                                            (True, "seed must be an integer, got True"),
+                                            (1.0, "seed must be an integer, got 1.0")])
+def test_problem_seed_is_checked(seed, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        check_problem_args("gaussian", n=4, p=8, s=1, dr=1.0, sigma=0.0, seed=seed)
+    with pytest.raises(ValueError, match=fragment):
+        gen_problem("gaussian", n=4, p=8, s=1, dr=1.0, sigma=0.0, seed=seed)
 
 
 def test_problem_unknown_kind():

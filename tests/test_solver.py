@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ishtc import solver
-from ishtc.linop import SensingOperator, dense_operator, normalize_columns
+from ishtc.linop import (GRAM_MIN_SIZE, SensingOperator, _GramRows, dense_operator,
+                         normalize_columns)
 from ishtc.modelselect import select_bic
 from ishtc.probgen import gen_problem
 from ishtc.solver import (
@@ -285,7 +286,7 @@ def test_path_record_holds_supports_and_values(kind, penalty, monkeypatch):
         path, _ = _assert_cached_route_matches_oracle(problem.op, problem.y, cfg, monkeypatch)
     else:
         problem = gen_problem("gaussian", n=200, p=1000, s=10, dr=100.0, sigma=1e-2, seed=4)
-        assert problem.op.n * problem.op.p < solver.GRAM_MIN_SIZE
+        assert problem.op.n * problem.op.p < GRAM_MIN_SIZE
         ref = _recomputing_loop(problem.op, problem.y, cfg, None)
         _, path = continuation_solve(problem.op, problem.y, cfg)
         assert len(path) == len(ref["solutions"])
@@ -331,7 +332,7 @@ def _assert_cached_route_matches_oracle(op, y, cfg, monkeypatch, lam_stop=None):
     """Same levels, stop and support at every level as the two-matvec
     oracle, residual norms equal to 1e-9 relative, and the same BIC pick.
     Returns the path and the solve's count of two-matvec steps."""
-    assert op.kind != "dense" or op.n * op.p >= solver.GRAM_MIN_SIZE
+    assert op.kind != "dense" or op.n * op.p >= GRAM_MIN_SIZE
     ref = _recomputing_loop(op, y, cfg, lam_stop)
     steps = _fallback_steps(monkeypatch)
     _, path = continuation_solve(op, y, cfg)
@@ -421,7 +422,7 @@ def test_cached_route_diverges_where_the_oracle_does():
     x0 = np.zeros(512)
     x0[rng.choice(512, 256, replace=False)] = rng.choice([-1.0, 1.0], 256)
     y = op.apply(x0)
-    assert op.n * op.p >= solver.GRAM_MIN_SIZE
+    assert op.n * op.p >= GRAM_MIN_SIZE
     cfg = SolverConfig(penalty=Penalty.L1, path_len_N=200)
     with pytest.raises(DivergenceError) as want:
         _recomputing_loop(op, y, cfg, None)
@@ -534,8 +535,8 @@ def test_inner_iterate_gram_step(support):
     y = rng.standard_normal(40)
     x = np.zeros(80)
     x[rng.choice(80, support, replace=False)] = rng.standard_normal(support)
-    gram = solver._GramRows(op.matrix, op.apply_adjoint(y))
-    got = inner_iterate(op, y, x, None, 0.05, Penalty.L1, gram)
+    gram = _GramRows(op.matrix, op.apply_adjoint(y))
+    got = inner_iterate(op, y, x, None, 0.05, Penalty.L1, gram.step)
     want = inner_iterate(op, y, x, None, 0.05, Penalty.L1, None)
     if support > 40 // 4:
         assert np.array_equal(got, want)
