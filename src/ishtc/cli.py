@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, NoReturn, Optional, Sequence, Union
 
@@ -351,7 +351,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ishtc`` parser, built once per process: parsing keeps no state
+    in it, so every :func:`main` call shares it."""
     parser = _Parser(prog="ishtc", description=(
         "Sparse recovery via thresholded continuation: generate problems, "
         "solve them, and reproduce recovery studies."))

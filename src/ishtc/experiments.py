@@ -9,10 +9,13 @@ of draws (``gen_problem`` arguments), and hands them to one ``_run_trials``
 call. That call checks every draw and the path knobs before the first
 draw, maps the tasks through ``_run_ordered`` and returns the records flat,
 in task order; the driver reduces them. A task solves its draws in order,
-and each draw after the first reuses the operator of the one before. An s
-or sigma sweep hands one task per replication, its draws in value order,
-because the replication's one seed gives one matrix at every value. A nu
-sweep, a phase grid and a benchmark table hand one draw per task.
+and each draw after the first reuses the operator of the one before; a task
+of several draws also gives that operator its Gram triangle
+(:meth:`ishtc.linop.SensingOperator.with_gram`), built once for all of
+them. An s or sigma sweep hands one task per replication, its draws in
+value order, because the replication's one seed gives one matrix at every
+value. A nu sweep, a phase grid and a benchmark table hand one draw per
+task, and so build no triangle.
 
 Every driver is a pure function of its spec and base seed. Replication
 seeds are derived from the base seed with stable integer keys, tasks are
@@ -86,10 +89,14 @@ def _run_trials(tasks: Sequence[Sequence[dict]], workers: int, penalty: Penalty,
 def _task(draws: Sequence[dict], config: SolverConfig) -> list:
     """``_trial`` records of ``draws``, in order. Each draw after the first
     reuses the operator of the one before, so the draws of a task must share
-    every ``gen_problem`` argument but ``s``, ``dr`` and ``sigma``."""
+    every ``gen_problem`` argument but ``s``, ``dr`` and ``sigma``. A task of
+    several draws gives that operator its Gram triangle (``with_gram``), so
+    their solves share it."""
     records, op = [], None
     for draw in draws:
         problem = gen_problem(**draw, op=op)
+        if op is None and len(draws) > 1:
+            problem.op = problem.op.with_gram()
         op = problem.op
         records.append(_trial(problem, config))
     return records
@@ -252,7 +259,14 @@ def phase_transition_grid(
 
 @np.errstate(over="ignore", invalid="ignore")  # a runaway fit overflows exp, then finds no fit
 def _irls_logistic(x: np.ndarray, wins: np.ndarray, trials: int) -> Optional[Tuple[float, float]]:
-    """Fit P(win) = sigmoid(a + b*x) to binomial counts; None if 100 steps find no fit."""
+    """Fit P(win) = sigmoid(a + b*x) to binomial counts; None if 100 steps find
+    no fit, or at once when the counts are completely separated: every point
+    all wins or all losses, and the wins on one side of the losses, where
+    the likelihood has no maximum."""
+    won, lost = x[wins == trials], x[wins == 0]
+    if won.size + lost.size == x.size and (won.size == 0 or lost.size == 0
+                                           or won.max() < lost.min() or lost.max() < won.min()):
+        return None
     design = np.column_stack([np.ones_like(x), x])
     beta = np.zeros(2)
     for _ in range(100):

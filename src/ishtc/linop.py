@@ -23,7 +23,8 @@ summation order:
 
 - dense, ``n * p`` below :data:`GRAM_MIN_SIZE`: two matvecs per step.
 - dense at or above it: ``c = Psi^t y`` and the Gram row ``G[j] = Psi^t psi_j``
-  of each column that has entered the support (one gemv when it enters);
+  of each column that has entered the support, copied out of the operator's
+  Gram triangle when it carries one, else one gemv when it enters;
   a step is ``x + c - x[A] @ G[A]`` over the cached columns ``A``, or two
   matvecs when its support would take the cache past ``n // 4`` rows (a
   quarter of the matrix's bytes).
@@ -31,13 +32,24 @@ summation order:
   (one rfft, one irfft) on every step but one that carries the residual
   ``r``, which takes ``x + Psi^t r`` (one irfft). A level costs ``2 * kmax``
   transforms, as two-matvec steps would.
+
+The Gram triangle is the one piece of state an operator may carry across
+solves. :meth:`SensingOperator.with_gram` gives a dense operator at or above
+:data:`GRAM_MIN_SIZE` with ``p <= 2 n`` the upper triangle of ``Psi^t Psi``,
+built once by blocked matrix products; ``p <= 2 n`` keeps it near the
+matrix's own size. It holds every normal matrix ``Psi_S^t Psi_S``. The
+experiment drivers give it to the operator a task shares among several
+draws; a single solve builds none, since one solve builds fewer rows than
+the triangle costs. Its rows agree with the gemv rows up to summation
+order, but blocked products, unlike those gemvs, give different bits at
+different BLAS thread counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +69,13 @@ RESTRICTED_MIN_SIZE = 1 << 16
 #: rho <= 0.3 and 67% elsewhere. With the floor at 0 the route saved 3% of
 #: CPU time on the first cells and cost 35% on the others.
 GRAM_MIN_SIZE = 1 << 18
+
+#: Rows that :func:`normalize_columns` copies and sums per block.
+ROW_BLOCK = 64
+
+#: Rows per block of the Gram triangle (:attr:`SensingOperator.gram`); a row
+#: comes out of it as one strided copy per block.
+GRAM_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +173,11 @@ class SensingOperator:
     ``_adjoint_weight``, the row weights halved where irfft counts a bin
     twice; and ``_mask``, the ``p + 2`` buffer that holds the product of the
     two weights at the row map and 0 elsewhere.
+
+    ``gram`` is None or, for a dense operator from :meth:`with_gram`, the
+    read-only blocks of the upper triangle of ``Psi^t Psi``: block ``b`` is
+    ``matrix[:, lo:lo + GRAM_BLOCK].T @ matrix[:, lo:]`` with
+    ``lo = b * GRAM_BLOCK``.
     """
 
     n: int
@@ -165,6 +189,7 @@ class SensingOperator:
     rfft_index: Optional[np.ndarray] = None
     rfft_weight: Optional[np.ndarray] = None
     seed: Optional[int] = field(default=None, compare=False)
+    gram: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False, compare=False)
     _scale: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _adjoint_weight: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                                   compare=False)
@@ -195,7 +220,7 @@ class SensingOperator:
         if self.kind == "dense":
             # count_nonzero costs a fraction of nonzero, so a large support pays only the count.
             if self.n * self.p >= RESTRICTED_MIN_SIZE and 8 * np.count_nonzero(x) < self.p:
-                support = x.nonzero()[0]
+                support = np.flatnonzero(x != 0)
                 return self.matrix[:, support] @ x[support]
             return self.matrix @ x
         return self.rfft_weight * self._analysis(x)[self.rfft_index]
@@ -219,8 +244,17 @@ class SensingOperator:
             return None, None
         c = self.apply_adjoint(y)
         if self.kind == "dense":
-            return c, _GramRows(self.matrix, c).step
+            return c, _GramRows(self.matrix, c, self.gram).step
         return c, lambda x, r: None if r is not None else self._gram_step(x, c)
+
+    def with_gram(self) -> "SensingOperator":
+        """This operator carrying the Gram triangle (module docstring), or
+        itself when the rule builds none: an operator that is not dense,
+        below :data:`GRAM_MIN_SIZE`, with ``p > 2 n``, or that has one."""
+        if (self.kind != "dense" or self.n * self.p < GRAM_MIN_SIZE or self.p > 2 * self.n
+                or self.gram is not None):
+            return self
+        return replace(self, gram=_gram_triangle(self.matrix))
 
     def _analysis(self, x: np.ndarray) -> np.ndarray:
         """The ``p + 2`` buffer of ``rfft(H^t(_scale * x))``, ``H`` the butterflies."""
@@ -262,10 +296,12 @@ class _GramRows:
     """Per-solve cache of the dense cached route: ``c = Psi^t y`` and the Gram
     rows ``G[j] = Psi^t psi_j`` of the columns that have entered the support,
     in the order they entered, at most ``n // 4`` of them, allocated at the
-    first step (so a solve refused before it allocates none)."""
+    first step (so a solve refused before it allocates none). ``gram`` is the
+    operator's Gram triangle, which the rows are copied from, or None."""
 
-    def __init__(self, matrix: np.ndarray, c: np.ndarray):
-        self.matrix, self.c = matrix, c
+    def __init__(self, matrix: np.ndarray, c: np.ndarray,
+                 gram: Optional[Tuple[np.ndarray, ...]] = None):
+        self.matrix, self.c, self.gram = matrix, c, gram
         self.rows, self.size = None, 0
         self.cols = np.empty(min(len(matrix) // 4, len(c)), dtype=np.intp)
         self.cached = np.zeros(len(c), dtype=bool)
@@ -273,7 +309,7 @@ class _GramRows:
     def step(self, x: np.ndarray, r: Optional[np.ndarray]) -> Optional[np.ndarray]:
         """``x + Psi^t (y - Psi x)``, or None when the support of ``x`` would
         take the cache past its rows. A carried residual ``r`` is not needed."""
-        support = np.flatnonzero(x)
+        support = np.flatnonzero(x != 0)
         new = support[~self.cached[support]]
         k = self.size
         if k + new.size > len(self.cols):
@@ -281,12 +317,34 @@ class _GramRows:
         if self.rows is None:
             self.rows = np.empty((len(self.cols), len(self.c)))
         for j in new:
-            np.matmul(self.matrix.T, self.matrix[:, j], out=self.rows[k])
+            self._row(j, self.rows[k])
             self.cols[k] = j
             k += 1
         self.cached[new] = True
         self.size = k
         return x + (self.c - x[self.cols[:k]] @ self.rows[:k])
+
+    def _row(self, j: int, out: np.ndarray) -> None:
+        """``G[j]`` into ``out``: one gemv, or from the triangle the column
+        ``j`` of each block above row ``j``'s and the row's own tail."""
+        if self.gram is None:
+            np.matmul(self.matrix.T, self.matrix[:, j], out=out)
+            return
+        b, i = divmod(j, GRAM_BLOCK)
+        for above in range(b):
+            lo = above * GRAM_BLOCK
+            out[lo : lo + GRAM_BLOCK] = self.gram[above][:, j - lo]
+        out[b * GRAM_BLOCK :] = self.gram[b][i]
+
+
+def _gram_triangle(matrix: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The read-only blocks of :attr:`SensingOperator.gram` for ``matrix``."""
+    p = matrix.shape[1]
+    blocks = tuple(matrix[:, lo : lo + GRAM_BLOCK].T @ matrix[:, lo:]
+                   for lo in range(0, p, GRAM_BLOCK))
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
 def dense_operator(matrix: np.ndarray) -> SensingOperator:
@@ -306,24 +364,44 @@ def dense_operator(matrix: np.ndarray) -> SensingOperator:
     return SensingOperator(n=n, p=p, kind="dense", matrix=matrix)
 
 
-def normalize_columns(raw: np.ndarray) -> SensingOperator:
-    """Build a generated matrix's operator: copy ``raw`` once into a read-only
-    column-major buffer divided in place by ``raw``'s column norms. ``raw``
-    itself is not changed. A column whose norm is 0 or not finite is a
+def normalize_columns(raw: Union[np.ndarray, Callable[[int, np.ndarray], None]],
+                      shape: Optional[Tuple[int, int]] = None) -> SensingOperator:
+    """Build a generated matrix's operator: ``raw``'s rows, copied once into a
+    read-only column-major buffer, divided in place by its column norms.
+
+    ``raw`` is the ``n x p`` array, which is not changed, or, given ``shape``,
+    a function ``raw(lo, out)`` that fills the C-order block ``out`` with the
+    rows from ``lo`` on, called top to bottom. Rows come :data:`ROW_BLOCK` at
+    a time, so a drawn matrix never exists in C order in full. The squared
+    norms accumulate row by row, as ``np.linalg.norm(raw, axis=0)`` sums a
+    C-order array, so a C-order ``raw`` and a function that draws its rows
+    build the same bytes. A column whose norm is 0 or not finite is a
     ValueError."""
-    raw = np.asarray(raw, dtype=np.float64)
+    fill = raw
+    if shape is None:
+        whole = np.asarray(raw, dtype=np.float64)
+        shape = whole.shape
+        fill = lambda lo, out: np.copyto(out, whole[lo : lo + len(out)])
+    n, p = shape
+    mat = np.empty((n, p), order="F")
+    # Row 0 carries the squared norms of the rows above the block in rows 1 on.
+    buf = np.zeros((min(ROW_BLOCK, n) + 1, p))
     # Refuses NaN, infinite and overflowing (above about 1e154) entries, warning-free.
     with np.errstate(over="ignore", invalid="ignore"):
-        scales = np.linalg.norm(raw, axis=0)
+        for lo in range(0, n, ROW_BLOCK):
+            block = buf[1 : 1 + min(ROW_BLOCK, n - lo)]
+            fill(lo, block)
+            mat[lo : lo + len(block)] = block
+            np.multiply(block, block, out=block)
+            buf[0] = np.add.reduce(buf[: 1 + len(block)], axis=0)
+        scales = np.sqrt(buf[0])
     bad = np.flatnonzero((scales == 0.0) | ~np.isfinite(scales))
     if bad.size:
         j = int(bad[0])
         raise ValueError(f"column {j} is the zero vector" if scales[j] == 0.0 else
                          f"column {j} has norm {scales[j]}: NaN, infinite or overflowing entries")
-    mat = np.array(raw, order="F")
     mat /= scales
     mat.setflags(write=False)
-    n, p = mat.shape
     return SensingOperator(n=n, p=p, kind="dense", matrix=mat)
 
 

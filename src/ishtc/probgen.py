@@ -8,7 +8,9 @@ noise direction. :func:`gen_problem` takes the operator of
 such an earlier instance in place of drawing the matrix again.
 
 Every dense kind is drawn once, mixed in place if it needs mixing, and
-normalized once by ``linop.normalize_columns`` into its final buffer.
+normalized once by ``linop.normalize_columns`` into its final buffer. The
+Gaussian kinds are drawn by row blocks straight into that buffer, with the
+bytes of one ``(n, p)`` draw.
 """
 
 from __future__ import annotations
@@ -77,12 +79,15 @@ def gen_correlated_gaussian(n: int, p: int, nu: float, seed: SeedLike) -> Sensin
     """
     _check_mixing_weight(nu)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, p))
-    if nu != 0:
-        a, b = z[:, 0 : p - 1 : 2], z[:, 1::2]
-        with np.errstate(over="ignore", invalid="ignore"):  # normalize_columns refuses it
-            a[...], b[...] = a + nu * b, nu * a + b
-    return normalize_columns(z)
+
+    def draw(lo: int, z: np.ndarray) -> None:  # the next rows, as one (n, p) draw gives them
+        rng.standard_normal(out=z)
+        if nu != 0:
+            a, b = z[:, 0 : p - 1 : 2], z[:, 1::2]
+            with np.errstate(over="ignore", invalid="ignore"):  # normalize_columns refuses it
+                a[...], b[...] = a + nu * b, nu * a + b
+
+    return normalize_columns(draw, shape=(n, p))
 
 
 def gen_sparse_signal(p: int, s: int, dr: float, seed: SeedLike) -> np.ndarray:

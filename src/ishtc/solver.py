@@ -331,7 +331,7 @@ def continuation_solve(
     stop_reason = "path_len" if path_mode else "lambda_star"
     # r is the residual y - Psi x of the level's first iterate.
     x, r = np.zeros(op.p), y
-    supports, values = [np.flatnonzero(x)], [np.zeros(0)]
+    supports, values = [np.flatnonzero(x != 0)], [np.zeros(0)]
     residual_norms = [y_norm]
     objective_values = [0.5 * residual_norms[0] ** 2]
     for level, lam in enumerate(lambdas[1:], 1):
@@ -345,7 +345,7 @@ def continuation_solve(
             rnorm = float(np.linalg.norm(r))
         if not math.isfinite(rnorm):
             raise DivergenceError(lam, level, config.kmax)
-        support = np.flatnonzero(x)
+        support = np.flatnonzero(x != 0)
         if np.array_equal(support, supports[-1]):
             support = supports[-1]
         supports.append(support)

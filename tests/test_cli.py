@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ishtc
-from ishtc import experiments, solver
+from ishtc import cli, experiments, linop, solver
 from ishtc.cli import COMMANDS, EXIT_DIVERGED, EXIT_MISSING, EXIT_OK, EXIT_SCHEMA, main
 from ishtc.probgen import gen_problem, load_problem
 from ishtc.solver import DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, TheoryParams, lambda_star
@@ -217,6 +217,25 @@ def test_path_rerun_byte_identical_on_the_cached_route(tmp_path):
         runs.append(out)
     for name in ("x_best.bin", "path.csv", "scores.csv"):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_gen_and_path_build_no_gram_triangle(tmp_path, monkeypatch):
+    """A single solve builds no Gram triangle, so the 500x1000 s=100 path
+    keeps its gemv rows; gen writes the bytes of one (n, p) Gaussian draw
+    divided by its column norms."""
+    built = []
+    monkeypatch.setattr(linop, "_gram_triangle", lambda matrix: built.append(matrix))
+    prob_dir = tmp_path / "prob"
+    assert main(["gen", "--kind", "gaussian", "--n", "500", "--p", "1000", "--s", "100",
+                 "--dr", "100", "--sigma", "0.01", "--seed", "0", "--out", str(prob_dir)]) == EXIT_OK
+    for penalty in ("l0", "l1"):
+        assert main(["path", "--problem", str(prob_dir), "--penalty", penalty,
+                     "--out", str(tmp_path / penalty)]) == EXIT_OK
+    assert built == []
+    stream = np.random.SeedSequence(entropy=0, spawn_key=(0,))
+    raw = np.random.default_rng(stream).standard_normal((500, 1000))
+    want = np.asfortranarray(raw / np.linalg.norm(raw, axis=0))
+    assert np.array_equal(read_array(prob_dir / "matrix.bin"), want)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -1003,6 +1022,20 @@ def test_help_exits_0_with_a_usage_line(argv, capsys):
         main([*argv, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: ishtc {' '.join(argv)}".rstrip())
+
+
+def test_parser_is_built_once_and_keeps_no_parse_state(tmp_path, capsys):
+    """Every main call shares one parser, and a usage error before and after
+    a good parse prints the same record."""
+    assert cli.build_parser() is cli.build_parser()
+    bad = ["gen", "--kind", "gaussian", "--n", "x"]
+    records = []
+    for argv in (bad, ["gen", "--kind", "gaussian", "--n", "5", "--p", "8", "--s", "1",
+                       "--out", str(tmp_path)], bad):
+        main(argv)
+        records.append(capsys.readouterr().err)
+    assert records[0] == records[2] and records[1] == ""
+    assert json.loads(records[0])["exit_code"] == EXIT_SCHEMA
 
 
 #: Per subcommand: flags for a small run (given the problem directory), one

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ishtc import experiments, probgen
+from ishtc import experiments, linop, probgen
 from ishtc.experiments import (
     PhaseGrid,
     SweepSpec,
@@ -148,6 +148,36 @@ def test_grid_and_table_hand_one_draw_per_task(run, trials, monkeypatch):
     tasks = _handed_tasks(monkeypatch, run)
     assert [len(draws) for draws in tasks] == [1] * trials
     assert len({draws[0]["seed"] for draws in tasks}) == trials
+
+
+def _count_triangles(monkeypatch):
+    """Every Gram triangle built while the test runs, by its matrix's shape."""
+    built = []
+
+    def counted(matrix, _orig=linop._gram_triangle):
+        built.append(matrix.shape)
+        return _orig(matrix)
+
+    monkeypatch.setattr(linop, "_gram_triangle", counted)
+    return built
+
+
+@pytest.mark.parametrize("varied, values, fixed, triangles", [
+    ("s", (2.0, 5.0), {"matrix_kind": "gaussian", "sigma": 1e-2}, 2),
+    ("sigma", (1e-3, 1e-2), {"matrix_kind": "gaussian", "s": 3}, 2),
+    ("s", (2.0,), {"matrix_kind": "gaussian", "sigma": 1e-2}, 0),
+    ("nu", (0.0, 0.5), {"matrix_kind": "correlated", "s": 3, "sigma": 1e-2}, 0),
+])
+def test_a_task_of_several_draws_builds_one_triangle(varied, values, fixed, triangles,
+                                                     monkeypatch):
+    """At 400x700 (above GRAM_MIN_SIZE, p <= 2n) an s or sigma sweep builds
+    one Gram triangle per replication, for all its draws; a task of one
+    draw, as each of a nu sweep's, builds none."""
+    built = _count_triangles(monkeypatch)
+    spec = SweepSpec(varied=varied, values=values, fixed={"n": 400, "p": 700, "dr": 10.0, **fixed},
+                     replications=2, base_seed=3)
+    support_probability_sweep(spec, Penalty.L0, workers=2, path_len=5)
+    assert built == [(400, 700)] * triangles
 
 
 def test_sweep_spec_validation():
@@ -296,13 +326,36 @@ def test_fit_all_failure_clamped_low():
     ((0.2, 0.201, 0.5), (1, 0, 0), 1, 0.2001),
 ], ids=["singular-hessian", "runaway-fit"])
 def test_fit_falls_back_to_interp_quietly(rho, wins, trials, want):
-    """A logistic fit that finds no answer, from a singular Hessian or from a
-    fit that overflows as it runs away, falls back to interpolation without a
-    numpy warning."""
+    """A logistic fit that finds no answer, from a singular Hessian or from
+    completely separated counts, falls back to interpolation without a numpy
+    warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rho90, flags = fit_90pct_curve(_column_grid(rho, wins, trials))
     assert (float(rho90[0]), flags[0]) == (want, "interp")
+
+
+@pytest.mark.parametrize("rho, wins, trials", [
+    ((0.2, 0.201, 0.5), (1, 0, 0), 1),
+    ((0.9, 0.1, 0.5), (0, 3, 3), 3),
+    ((0.1, 0.3), (2, 2), 2),
+], ids=["falling", "unsorted-rising", "all-wins"])
+def test_separated_counts_take_no_newton_step(rho, wins, trials, monkeypatch):
+    """Counts that are all wins or all losses at each rho, the wins on one
+    side of the losses, have no maximum-likelihood fit: no step is tried."""
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
+    assert experiments._irls_logistic(np.array(rho), np.array(wins, float), trials) is None
+    assert solves == []
+
+
+def test_logistic_fit_that_overflows_returns_none():
+    """Counts that are not separated but sit at a rho so large that the first
+    step overflows end the fit at its non-finite check, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = experiments._irls_logistic(np.array([0.0, 1.0, 1e155]), np.array([2.0, 1.0, 0.0]), 2)
+    assert fit is None
 
 
 def test_fit_synthetic_logistic_oracle():

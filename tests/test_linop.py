@@ -9,10 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from ishtc.linop import (
     COHERENCE_BUDGET_P,
+    GRAM_BLOCK,
     GRAM_MIN_SIZE,
+    ROW_BLOCK,
     RESTRICTED_MIN_SIZE,
     SensingOperator,
     _column_energy,
+    _GramRows,
     _row_map,
     dense_operator,
     haar_forward,
@@ -220,6 +223,36 @@ def test_normalize_columns_leaves_its_input_unchanged(order, writeable):
     assert op.matrix.flags.f_contiguous and not op.matrix.flags.writeable
 
 
+def test_normalize_columns_from_row_blocks_matches_the_array():
+    """Rows filled ROW_BLOCK at a time build the bytes of the C-order array,
+    whose norms are ``np.linalg.norm(raw, axis=0)`` bit for bit, with the
+    fill called once per block, top to bottom."""
+    n, p = 2 * ROW_BLOCK + 3, 41
+    raw = np.random.default_rng(11).standard_normal((n, p))
+    want = raw / np.linalg.norm(raw, axis=0)
+    starts = []
+
+    def fill(lo, out):
+        starts.append(lo)
+        out[...] = raw[lo : lo + len(out)]
+
+    for op in (normalize_columns(raw), normalize_columns(fill, shape=(n, p))):
+        assert op.matrix.tobytes(order="F") == np.asfortranarray(want).tobytes(order="F")
+        assert op.matrix.flags.f_contiguous and not op.matrix.flags.writeable
+    assert starts == [0, ROW_BLOCK, 2 * ROW_BLOCK]
+
+
+@pytest.mark.parametrize("entry", [0.0, 1e200], ids=["zero", "overflowing"])
+def test_normalize_columns_from_row_blocks_keeps_its_errors(entry):
+    """A zero or overflowing column drawn in blocks is the array's error."""
+    def fill(lo, out):
+        out[...] = 1.0
+        out[:, 2] = entry
+
+    with pytest.raises(ValueError, match="column 2 (is the zero vector|has norm inf)"):
+        normalize_columns(fill, shape=(ROW_BLOCK + 1, 4))
+
+
 def test_normalize_zero_column_error_names_index():
     raw = np.ones((4, 3))
     raw[:, 2] = 0.0
@@ -358,6 +391,44 @@ def test_cached_route_rule():
         else:
             assert step(x, r) is None
         np.testing.assert_allclose(step(x, None), want, rtol=0, atol=1e-12)
+
+
+def test_gram_triangle_rows_match_the_gemv_rows():
+    """Every row the triangle gives, on both sides of each block edge and
+    at p not a multiple of GRAM_BLOCK, is ``A^t A[:, j]`` to a few ulps of
+    the unit column norm, and lands where the gemv row would."""
+    op = _random_unit_columns(400, 700, seed=12).with_gram()
+    assert op.gram is not None and 700 % GRAM_BLOCK
+    assert not any(block.flags.writeable for block in op.gram)
+    rows = _GramRows(op.matrix, np.zeros(op.p), op.gram)
+    got = np.empty(op.p)
+    for j in range(op.p):
+        rows._row(j, got)
+        want = op.matrix.T @ op.matrix[:, j]
+        np.testing.assert_allclose(got, want, rtol=0, atol=16 * np.finfo(float).eps, err_msg=j)
+
+
+def test_gram_triangle_rule():
+    """Only a dense operator at or above GRAM_MIN_SIZE with p <= 2n gets a
+    triangle; one that has it, or any other, is returned as it is. The
+    triangle changes neither the operator's fields nor its products."""
+    rng = np.random.default_rng(4)
+    n = 400
+    at_edge = normalize_columns(rng.standard_normal((n, 2 * n)))
+    with_gram = at_edge.with_gram()
+    assert with_gram.gram is not None and at_edge.gram is None
+    assert with_gram.matrix is at_edge.matrix and with_gram == at_edge
+    assert with_gram.with_gram() is with_gram
+    x = np.zeros(2 * n)
+    x[:3] = 1.0
+    assert with_gram.apply(x).tobytes() == at_edge.apply(x).tobytes()
+    blocks = -(-2 * n // GRAM_BLOCK)
+    assert len(with_gram.gram) == blocks
+    assert sum(b.size for b in with_gram.gram) <= 2 * n * (n + GRAM_BLOCK)  # about the matrix
+    for op in (normalize_columns(rng.standard_normal((n, 2 * n + 2))),
+               normalize_columns(rng.standard_normal((256, 300))),  # below GRAM_MIN_SIZE
+               make_partial_fft_haar(1024, 665, levels=2, seed=0)):
+        assert op.with_gram() is op and op.gram is None
 
 
 def test_derived_arrays_follow_a_replaced_column_scale():

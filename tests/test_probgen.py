@@ -54,12 +54,13 @@ DENSE_KINDS = [("gaussian", 0.0), ("bernoulli", None), ("correlated", 0.5),
                ("correlated", 2.0)]
 
 
-@pytest.mark.parametrize("n,p", [(5, 1), (7, 13), (200, 1000)])
+@pytest.mark.parametrize("n,p", [(5, 1), (7, 13), (200, 1000), (131, 257)])
 @pytest.mark.parametrize("kind,nu", DENSE_KINDS, ids=["gaussian", "bernoulli", "nu0.5", "nu2"])
 def test_dense_matrix_bits_match_the_two_step_construction(kind, nu, n, p):
     """Every dense kind (the gaussian kind is nu=0) is drawn once and
     normalized straight into a read-only column-major buffer, with the bits
-    of the two-step construction."""
+    of the two-step construction; the Gaussian kinds draw by row blocks,
+    also at odd p and with a last block shorter than the others."""
     seed = np.random.SeedSequence(entropy=3, spawn_key=(0,))
     if kind == "bernoulli":
         op = gen_bernoulli_matrix(n, p, seed)
@@ -83,6 +84,20 @@ def test_gen_problem_allocation_peak_stays_near_two_matrices(kind, nu):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * prob.op.matrix.nbytes
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5], ids=["gaussian", "correlated"])
+def test_gaussian_draw_holds_no_second_matrix(nu):
+    """The Gaussian kinds draw by row blocks straight into the normalized
+    buffer: no full-size draw sits beside it."""
+    gen_correlated_gaussian(500, 1000, nu, 1)
+    tracemalloc.start()
+    try:
+        op = gen_correlated_gaussian(500, 1000, nu, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * op.matrix.nbytes
 
 
 def test_matrix_columns_unit_norm():

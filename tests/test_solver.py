@@ -374,6 +374,19 @@ def test_fft_haar_route_matches_two_matvec_oracle(penalty, monkeypatch):
     assert steps == len(path) - 1
 
 
+@pytest.mark.parametrize("s, seed", [(10, 0), (100, 3)])
+@pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
+def test_gram_triangle_route_matches_two_matvec_oracle(s, seed, penalty, monkeypatch):
+    """Rows copied from the operator's Gram triangle meet the cached-route
+    contract, also on paths whose support outgrows the rows."""
+    problem = gen_problem("gaussian", n=500, p=1000, s=s, dr=100.0, sigma=1e-2, seed=seed)
+    op = problem.op.with_gram()
+    assert op.gram is not None
+    cfg = SolverConfig(penalty=penalty)
+    path, steps = _assert_cached_route_matches_oracle(op, problem.y, cfg, monkeypatch)
+    assert steps < cfg.kmax * (len(path) - 1)
+
+
 @pytest.mark.parametrize("n, p, s, penalty", [(500, 1000, 100, Penalty.L1),
                                               (256, 1024, 40, Penalty.L1)])
 def test_cached_route_falls_back_when_the_cache_fills(n, p, s, penalty, monkeypatch):
