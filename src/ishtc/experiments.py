@@ -9,13 +9,12 @@ of draws (``gen_problem`` arguments), and hands them to one ``_run_trials``
 call. That call checks every draw and the path knobs before the first
 draw, maps the tasks through ``_run_ordered`` and returns the records flat,
 in task order; the driver reduces them. A task solves its draws in order,
-and each draw after the first reuses the operator of the one before; a task
-of several draws also gives that operator its Gram triangle
-(:meth:`ishtc.linop.SensingOperator.with_gram`), built once for all of
-them. An s or sigma sweep hands one task per replication, its draws in
-value order, because the replication's one seed gives one matrix at every
-value. A nu sweep, a phase grid and a benchmark table hand one draw per
-task, and so build no triangle.
+and each draw after the first reuses the operator of the one before, so
+they also share the Gram triangle that a dense operator builds at its
+first solve (:attr:`ishtc.linop.SensingOperator.gram`). An s or sigma sweep
+hands one task per replication, its draws in value order, because the
+replication's one seed gives one matrix at every value. A nu sweep, a phase
+grid and a benchmark table hand one draw per task.
 
 Every driver is a pure function of its spec and base seed. Replication
 seeds are derived from the base seed with stable integer keys, tasks are
@@ -89,14 +88,10 @@ def _run_trials(tasks: Sequence[Sequence[dict]], workers: int, penalty: Penalty,
 def _task(draws: Sequence[dict], config: SolverConfig) -> list:
     """``_trial`` records of ``draws``, in order. Each draw after the first
     reuses the operator of the one before, so the draws of a task must share
-    every ``gen_problem`` argument but ``s``, ``dr`` and ``sigma``. A task of
-    several draws gives that operator its Gram triangle (``with_gram``), so
-    their solves share it."""
+    every ``gen_problem`` argument but ``s``, ``dr`` and ``sigma``."""
     records, op = [], None
     for draw in draws:
         problem = gen_problem(**draw, op=op)
-        if op is None and len(draws) > 1:
-            problem.op = problem.op.with_gram()
         op = problem.op
         records.append(_trial(problem, config))
     return records
@@ -128,8 +123,9 @@ class SweepSpec:
     """One-axis sweep: ``varied`` (s, sigma or nu) ranges over ``values``, and
     ``fixed`` holds the other ``gen_problem`` arguments, which it checks. A
     spec refuses an empty grid, a replication count that is not an integer
-    >= 1, non-integer ``s`` values, and a ``nu`` sweep unless
-    ``fixed["matrix_kind"]`` is ``"correlated"``.
+    >= 1, non-integer ``s`` values, a ``nu`` sweep unless
+    ``fixed["matrix_kind"]`` is ``"correlated"``, and a ``fixed`` that holds
+    ``seed`` or the varied key, which each draw sets itself.
     """
 
     varied: str
@@ -144,6 +140,9 @@ class SweepSpec:
         if len(self.values) == 0:
             raise ValueError("values grid is empty")
         _check_count("replications", self.replications, 1)
+        for key in ("seed", self.varied):
+            if key in self.fixed:
+                raise ValueError(f"fixed must not hold {key!r}: each draw of the sweep sets it")
         object.__setattr__(self, "values", tuple(self.values))
         if self.varied == "s" and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"s values must be integers, got {list(self.values)}")

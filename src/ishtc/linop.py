@@ -8,7 +8,8 @@ reads and writes its rows straight from numpy's ``rfft`` buffer through a
 row map built once. Its maps share one analysis half (``rfft`` after the
 unnormalized Haar butterflies) and one synthesis half, with the orthonormal
 block factors folded into the column scales. Operators are immutable after
-construction and keep no per-run state.
+construction, but for the Gram triangle a dense one derives at first use
+(below), and keep no per-run state.
 
 The dense forward map is charged for the support of its input, not for p:
 when fewer than ``p / 8`` entries of ``x`` are nonzero and ``n * p`` is at
@@ -17,14 +18,14 @@ the support ``S`` only; otherwise the full ``matrix @ x``. Both give the
 same product up to summation order (a few ulps), and either counts as one
 matvec. The adjoint always runs in full.
 
-:meth:`SensingOperator.cached_route` sets how a solve's steps form the
-gradient ``x + Psi^t (y - Psi x)``; all routes give the same step up to
+:meth:`SensingOperator.cached_route` is the one place that forms a solve's
+steps ``x + Psi^t (y - Psi x)``; all routes give the same step up to
 summation order:
 
 - dense, ``n * p`` below :data:`GRAM_MIN_SIZE`: two matvecs per step.
 - dense at or above it: ``c = Psi^t y`` and the Gram row ``G[j] = Psi^t psi_j``
-  of each column that has entered the support, copied out of the operator's
-  Gram triangle when it carries one, else one gemv when it enters;
+  of each column that has entered the support, copied out of the
+  operator's Gram triangle when ``p <= 2 n``, else one gemv when it enters;
   a step is ``x + c - x[A] @ G[A]`` over the cached columns ``A``, or two
   matvecs when its support would take the cache past ``n // 4`` rows (a
   quarter of the matrix's bytes).
@@ -33,22 +34,20 @@ summation order:
   ``r``, which takes ``x + Psi^t r`` (one irfft). A level costs ``2 * kmax``
   transforms, as two-matvec steps would.
 
-The Gram triangle is the one piece of state an operator may carry across
-solves. :meth:`SensingOperator.with_gram` gives a dense operator at or above
-:data:`GRAM_MIN_SIZE` with ``p <= 2 n`` the upper triangle of ``Psi^t Psi``,
-built once by blocked matrix products; ``p <= 2 n`` keeps it near the
-matrix's own size. It holds every normal matrix ``Psi_S^t Psi_S``. The
-experiment drivers give it to the operator a task shares among several
-draws; a single solve builds none, since one solve builds fewer rows than
-the triangle costs. Its rows agree with the gemv rows up to summation
-order, but blocked products, unlike those gemvs, give different bits at
-different BLAS thread counts.
+The Gram triangle is an operator's one derived cache, the one state it
+carries across solves. A dense operator at or above :data:`GRAM_MIN_SIZE`
+with ``p <= 2 n`` builds the upper triangle of ``Psi^t Psi`` by blocked
+matrix products at the first row its first solve caches, and keeps it for
+its later solves; ``p <= 2 n`` keeps it near the matrix's own size. It
+holds every normal matrix ``Psi_S^t Psi_S``. Its rows agree with the gemv
+rows up to summation order, but blocked products, unlike those gemvs, give
+different bits at different BLAS thread counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -173,11 +172,6 @@ class SensingOperator:
     ``_adjoint_weight``, the row weights halved where irfft counts a bin
     twice; and ``_mask``, the ``p + 2`` buffer that holds the product of the
     two weights at the row map and 0 elsewhere.
-
-    ``gram`` is None or, for a dense operator from :meth:`with_gram`, the
-    read-only blocks of the upper triangle of ``Psi^t Psi``: block ``b`` is
-    ``matrix[:, lo:lo + GRAM_BLOCK].T @ matrix[:, lo:]`` with
-    ``lo = b * GRAM_BLOCK``.
     """
 
     n: int
@@ -189,11 +183,12 @@ class SensingOperator:
     rfft_index: Optional[np.ndarray] = None
     rfft_weight: Optional[np.ndarray] = None
     seed: Optional[int] = field(default=None, compare=False)
-    gram: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False, compare=False)
     _scale: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _adjoint_weight: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                                   compare=False)
     _mask: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _gram: Optional[Tuple[np.ndarray, ...]] = field(default=None, init=False, repr=False,
+                                                    compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == "dense":
@@ -236,25 +231,28 @@ class SensingOperator:
         buffer[self.rfft_index] = self._adjoint_weight * r
         return self._synthesis(buffer)
 
-    def cached_route(self, y: np.ndarray) -> Tuple[Optional[np.ndarray], Optional[Callable]]:
-        """``(c, step)`` by the route rule (module docstring), or ``(None, None)``
-        when every step takes two matvecs. ``c = Psi^t y`` costs one adjoint;
-        ``step(x, r)`` is ``x + (c - Psi^t Psi x)``, or None for a two-matvec step."""
-        if self.kind == "dense" and self.n * self.p < GRAM_MIN_SIZE:
-            return None, None
+    def cached_route(self, y: np.ndarray) -> Tuple[np.ndarray, Callable]:
+        """``(c, step)`` by the route rule (module docstring): ``c = Psi^t y``
+        costs one adjoint, and ``step(x, r)`` is ``x + Psi^t (y - Psi x)``,
+        where ``r``, when given, is the residual ``y - Psi x``."""
         c = self.apply_adjoint(y)
-        if self.kind == "dense":
-            return c, _GramRows(self.matrix, c, self.gram).step
-        return c, lambda x, r: None if r is not None else self._gram_step(x, c)
+        two_matvec = lambda x, r: x + self.apply_adjoint(y - self.apply(x) if r is None else r)
+        if self.kind != "dense":
+            return c, lambda x, r: self._gram_step(x, c) if r is None else two_matvec(x, r)
+        if self.n * self.p < GRAM_MIN_SIZE:
+            return c, two_matvec
+        return c, _GramRows(self, c, two_matvec).step
 
-    def with_gram(self) -> "SensingOperator":
-        """This operator carrying the Gram triangle (module docstring), or
-        itself when the rule builds none: an operator that is not dense,
-        below :data:`GRAM_MIN_SIZE`, with ``p > 2 n``, or that has one."""
-        if (self.kind != "dense" or self.n * self.p < GRAM_MIN_SIZE or self.p > 2 * self.n
-                or self.gram is not None):
-            return self
-        return replace(self, gram=_gram_triangle(self.matrix))
+    @property
+    def gram(self) -> Optional[Tuple[np.ndarray, ...]]:
+        """The Gram triangle (module docstring), or None for an operator that
+        has none: read-only blocks, block ``b`` being ``matrix[:, lo:lo +
+        GRAM_BLOCK].T @ matrix[:, lo:]`` with ``lo = b * GRAM_BLOCK``. The first
+        read sets ``_gram`` without a lock: a race builds it twice at worst."""
+        if (self._gram is None and self.kind == "dense" and self.n * self.p >= GRAM_MIN_SIZE
+                and self.p <= 2 * self.n):
+            object.__setattr__(self, "_gram", _gram_triangle(self.matrix))
+        return self._gram
 
     def _analysis(self, x: np.ndarray) -> np.ndarray:
         """The ``p + 2`` buffer of ``rfft(H^t(_scale * x))``, ``H`` the butterflies."""
@@ -296,26 +294,25 @@ class _GramRows:
     """Per-solve cache of the dense cached route: ``c = Psi^t y`` and the Gram
     rows ``G[j] = Psi^t psi_j`` of the columns that have entered the support,
     in the order they entered, at most ``n // 4`` of them, allocated at the
-    first step (so a solve refused before it allocates none). ``gram`` is the
-    operator's Gram triangle, which the rows are copied from, or None."""
+    first step (so a solve refused before it allocates none). ``two_matvec``
+    is the route's step for a support that would take the cache past them."""
 
-    def __init__(self, matrix: np.ndarray, c: np.ndarray,
-                 gram: Optional[Tuple[np.ndarray, ...]] = None):
-        self.matrix, self.c, self.gram = matrix, c, gram
+    def __init__(self, op: SensingOperator, c: np.ndarray, two_matvec: Callable):
+        self.op, self.c, self.two_matvec = op, c, two_matvec
         self.rows, self.size = None, 0
-        self.cols = np.empty(min(len(matrix) // 4, len(c)), dtype=np.intp)
-        self.cached = np.zeros(len(c), dtype=bool)
+        self.cols = np.empty(min(op.n // 4, op.p), dtype=np.intp)
+        self.cached = np.zeros(op.p, dtype=bool)
 
-    def step(self, x: np.ndarray, r: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """``x + Psi^t (y - Psi x)``, or None when the support of ``x`` would
-        take the cache past its rows. A carried residual ``r`` is not needed."""
+    def step(self, x: np.ndarray, r: Optional[np.ndarray]) -> np.ndarray:
+        """``x + Psi^t (y - Psi x)``: by the cached rows, or by two matvecs
+        when the support of ``x`` would take the cache past its rows."""
         support = np.flatnonzero(x != 0)
         new = support[~self.cached[support]]
         k = self.size
         if k + new.size > len(self.cols):
-            return None
+            return self.two_matvec(x, r)
         if self.rows is None:
-            self.rows = np.empty((len(self.cols), len(self.c)))
+            self.rows = np.empty((len(self.cols), self.op.p))
         for j in new:
             self._row(j, self.rows[k])
             self.cols[k] = j
@@ -325,16 +322,17 @@ class _GramRows:
         return x + (self.c - x[self.cols[:k]] @ self.rows[:k])
 
     def _row(self, j: int, out: np.ndarray) -> None:
-        """``G[j]`` into ``out``: one gemv, or from the triangle the column
-        ``j`` of each block above row ``j``'s and the row's own tail."""
-        if self.gram is None:
-            np.matmul(self.matrix.T, self.matrix[:, j], out=out)
+        """``G[j]`` into ``out``: one gemv, or from the operator's triangle the
+        column ``j`` of each block above row ``j``'s and the row's own tail."""
+        gram = self.op.gram
+        if gram is None:
+            np.matmul(self.op.matrix.T, self.op.matrix[:, j], out=out)
             return
         b, i = divmod(j, GRAM_BLOCK)
         for above in range(b):
             lo = above * GRAM_BLOCK
-            out[lo : lo + GRAM_BLOCK] = self.gram[above][:, j - lo]
-        out[b * GRAM_BLOCK :] = self.gram[b][i]
+            out[lo : lo + GRAM_BLOCK] = gram[above][:, j - lo]
+        out[b * GRAM_BLOCK :] = gram[b][i]
 
 
 def _gram_triangle(matrix: np.ndarray) -> Tuple[np.ndarray, ...]:

@@ -200,12 +200,14 @@ class PathResult:
     ``matvec_cumulative`` is the paper's logical count of operator
     applications up to each level: 2 per inner iteration plus 1 adjoint when
     ``lambda0`` was auto-derived, worked out from the planned levels, cut
-    where the run stopped, rather than counted at run time. The cached
-    routes of :mod:`ishtc.linop` call ``apply`` and ``apply_adjoint`` less often
-    than that count: a Gram-row step calls neither, and a partial-FFT-Haar
-    level calls each once, running its other steps' transforms in one private
-    product. The residual norm of a level is that of ``y - Psi x`` at its
-    last iterate.
+    where the run stopped, rather than counted at run time. Every solve
+    takes one adjoint for ``c = Psi^t y``, which the count holds only when
+    ``lambda0`` was auto-derived. Past that, a dense solve below the Gram-row
+    floor calls ``apply`` and ``apply_adjoint`` as often as the count says,
+    and the cached routes of :mod:`ishtc.linop` less often: a Gram-row step
+    calls neither, and a partial-FFT-Haar level calls each once, running its
+    other steps' transforms in one private product. The residual norm of a
+    level is that of ``y - Psi x`` at its last iterate.
     ``stop_reason`` says why the solve ended: ``"path_len"`` (a path-mode
     solve ran all its planned levels), ``"saturated"`` (a path-mode solve
     reached a :func:`saturated` support) or ``"lambda_star"`` (the next
@@ -248,22 +250,17 @@ class PathResult:
 
 
 def inner_iterate(
-    op: SensingOperator,
-    y: np.ndarray,
     x: np.ndarray,
     r: Optional[np.ndarray],
     lam: float,
     penalty: Penalty,
-    step: Optional[Callable],
+    step: Callable,
 ) -> np.ndarray:
     """One thresholded gradient step at unit stepsize from ``x``; returns the
-    new iterate. The gradient comes from a cached route's ``step`` when it
-    takes the step, else from two matvecs: ``x + Psi^t r`` with ``r`` the
-    residual ``y - Psi x``, formed here when ``r`` is None."""
-    z = step(x, r) if step is not None else None
-    if z is None:
-        z = x + op.apply_adjoint(r if r is not None else y - op.apply(x))
-    return threshold_vector(z, lam, penalty)
+    new iterate. ``step`` is the gradient step of the operator's route
+    (:meth:`ishtc.linop.SensingOperator.cached_route`), and ``r`` the
+    residual ``y - Psi x`` when the caller carries it, else None."""
+    return threshold_vector(step(x, r), lam, penalty)
 
 
 def _plan(lam0: float, config: SolverConfig) -> List[float]:
@@ -321,7 +318,6 @@ def continuation_solve(
 
     auto = config.lambda0 == "auto"
     c, step = op.cached_route(y)
-    c = op.apply_adjoint(y) if auto and c is None else c
     # Largest level at which thresholding Psi^t y yields exactly 0, so the
     # zero start is the true minimizer there.
     lam0 = config.penalty.level(float(np.max(np.abs(c)))) if auto else float(config.lambda0)
@@ -340,7 +336,7 @@ def continuation_solve(
         # residual non-finite, so one check of its norm covers both.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(config.kmax):
-                x = inner_iterate(op, y, x, r if k == 0 else None, lam, config.penalty, step)
+                x = inner_iterate(x, r if k == 0 else None, lam, config.penalty, step)
             r = y - op.apply(x)
             rnorm = float(np.linalg.norm(r))
         if not math.isfinite(rnorm):

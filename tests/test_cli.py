@@ -219,19 +219,25 @@ def test_path_rerun_byte_identical_on_the_cached_route(tmp_path):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
-def test_gen_and_path_build_no_gram_triangle(tmp_path, monkeypatch):
-    """A single solve builds no Gram triangle, so the 500x1000 s=100 path
-    keeps its gemv rows; gen writes the bytes of one (n, p) Gaussian draw
-    divided by its column norms."""
+def test_gen_builds_no_gram_triangle_and_each_path_one(tmp_path, monkeypatch):
+    """gen solves nothing and builds no Gram triangle; each path loads its
+    own 500x1000 operator and builds one for its solve. gen writes the bytes
+    of one (n, p) Gaussian draw divided by its column norms."""
     built = []
-    monkeypatch.setattr(linop, "_gram_triangle", lambda matrix: built.append(matrix))
+
+    def counted(matrix, _orig=linop._gram_triangle):
+        built.append(matrix.shape)
+        return _orig(matrix)
+
+    monkeypatch.setattr(linop, "_gram_triangle", counted)
     prob_dir = tmp_path / "prob"
     assert main(["gen", "--kind", "gaussian", "--n", "500", "--p", "1000", "--s", "100",
                  "--dr", "100", "--sigma", "0.01", "--seed", "0", "--out", str(prob_dir)]) == EXIT_OK
+    assert built == []
     for penalty in ("l0", "l1"):
         assert main(["path", "--problem", str(prob_dir), "--penalty", penalty,
                      "--out", str(tmp_path / penalty)]) == EXIT_OK
-    assert built == []
+    assert built == [(500, 1000)] * 2
     stream = np.random.SeedSequence(entropy=0, spawn_key=(0,))
     raw = np.random.default_rng(stream).standard_normal((500, 1000))
     want = np.asfortranarray(raw / np.linalg.norm(raw, axis=0))

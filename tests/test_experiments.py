@@ -150,8 +150,9 @@ def test_grid_and_table_hand_one_draw_per_task(run, trials, monkeypatch):
     assert len({draws[0]["seed"] for draws in tasks}) == trials
 
 
-def _count_triangles(monkeypatch):
-    """Every Gram triangle built while the test runs, by its matrix's shape."""
+def _triangles_built(monkeypatch, varied, values, fixed):
+    """The shape of every Gram triangle built by a 2-replication sweep at
+    400x700 (above GRAM_MIN_SIZE, p <= 2n) on two workers."""
     built = []
 
     def counted(matrix, _orig=linop._gram_triangle):
@@ -159,25 +160,32 @@ def _count_triangles(monkeypatch):
         return _orig(matrix)
 
     monkeypatch.setattr(linop, "_gram_triangle", counted)
+    spec = SweepSpec(varied=varied, values=values, fixed={"n": 400, "p": 700, "dr": 10.0, **fixed},
+                     replications=2, base_seed=3)
+    support_probability_sweep(spec, Penalty.L0, workers=2, path_len=5)
     return built
 
 
 @pytest.mark.parametrize("varied, values, fixed, triangles", [
     ("s", (2.0, 5.0), {"matrix_kind": "gaussian", "sigma": 1e-2}, 2),
     ("sigma", (1e-3, 1e-2), {"matrix_kind": "gaussian", "s": 3}, 2),
-    ("s", (2.0,), {"matrix_kind": "gaussian", "sigma": 1e-2}, 0),
-    ("nu", (0.0, 0.5), {"matrix_kind": "correlated", "s": 3, "sigma": 1e-2}, 0),
 ])
 def test_a_task_of_several_draws_builds_one_triangle(varied, values, fixed, triangles,
                                                      monkeypatch):
-    """At 400x700 (above GRAM_MIN_SIZE, p <= 2n) an s or sigma sweep builds
-    one Gram triangle per replication, for all its draws; a task of one
-    draw, as each of a nu sweep's, builds none."""
-    built = _count_triangles(monkeypatch)
-    spec = SweepSpec(varied=varied, values=values, fixed={"n": 400, "p": 700, "dr": 10.0, **fixed},
-                     replications=2, base_seed=3)
-    support_probability_sweep(spec, Penalty.L0, workers=2, path_len=5)
-    assert built == [(400, 700)] * triangles
+    """An s or sigma sweep builds one Gram triangle per replication, for all
+    its draws."""
+    assert _triangles_built(monkeypatch, varied, values, fixed) == [(400, 700)] * triangles
+
+
+@pytest.mark.parametrize("varied, values, fixed, triangles", [
+    ("s", (2.0,), {"matrix_kind": "gaussian", "sigma": 1e-2}, 2),
+    ("nu", (0.0, 0.5), {"matrix_kind": "correlated", "s": 3, "sigma": 1e-2}, 4),
+], ids=["s", "nu"])
+def test_a_task_of_one_draw_builds_its_own_triangle(varied, values, fixed, triangles,
+                                                    monkeypatch):
+    """A task of one draw, as each of a nu sweep's, builds one Gram triangle
+    for its one solve, in its worker thread."""
+    assert _triangles_built(monkeypatch, varied, values, fixed) == [(400, 700)] * triangles
 
 
 def test_sweep_spec_validation():
@@ -194,6 +202,16 @@ def test_sweep_spec_validation():
         SweepSpec(varied="nu", values=(0.0, 0.5, 0.9), replications=1,
                   fixed={"matrix_kind": "gaussian", "n": 20, "p": 40, "s": 2})
     SweepSpec(varied="nu", values=(0.0, 0.5), fixed={"matrix_kind": "correlated"}, replications=1)
+
+
+@pytest.mark.parametrize("varied, key", [("s", "seed"), ("sigma", "seed"), ("s", "s"),
+                                         ("sigma", "sigma"), ("nu", "nu")])
+def test_sweep_spec_refuses_a_fixed_key_the_sweep_sets(varied, key):
+    """Each draw sets its seed and its varied value, so ``fixed`` may hold
+    neither: the sweep would drop it without a sign."""
+    fixed = {"matrix_kind": "correlated", "n": 20, "p": 40, "dr": 1.0, key: 3}
+    with pytest.raises(ValueError, match=repr(key)):
+        SweepSpec(varied=varied, values=(0.0, 1.0), fixed=fixed, replications=1)
 
 
 def _sweep(replications=2, **kwargs):
@@ -235,7 +253,8 @@ def test_non_integer_counts_are_refused_before_any_trial(run, kwargs, monkeypatc
                   fixed={**TINY_SWEEP["fixed"], "n": 4.0}), Penalty.L1),
     lambda: support_probability_sweep(
         SweepSpec(varied="sigma", values=(0.0,), replications=1,
-                  fixed={**TINY_SWEEP["fixed"], "s": 2.0}), Penalty.L1),
+                  fixed={"matrix_kind": "gaussian", "n": 20, "p": 40, "dr": 1.0, "s": 2.0}),
+        Penalty.L1),
 ], ids=["phase-p-16.0", "phase-p-True", "sweep-n-4.0", "sweep-s-2.0"])
 def test_non_integer_sizes_are_refused_before_any_trial(run, monkeypatch):
     """n, p and s must be integers (not bools), refused before the first draw."""

@@ -367,40 +367,47 @@ def test_gram_step_is_the_two_matvec_step(p, n, levels):
 
 
 def test_cached_route_rule():
-    """A dense operator just below GRAM_MIN_SIZE has no route; one at it gets
-    the Gram-row step, whose rows wait for the first step, and which takes a
-    step also when a residual is carried; a partial-FFT-Haar operator gets a
-    step that returns None exactly when a residual is given. Each ``c`` is
-    ``apply_adjoint(y)`` bit for bit."""
+    """A dense operator just below GRAM_MIN_SIZE gets the two-matvec step,
+    one at it the Gram-row step, whose rows wait for the first step, and a
+    partial-FFT-Haar operator the rfft-buffer step. Every step forms
+    ``x + Psi^t (y - Psi x)``, with a carried residual or without, also for
+    a support that would take the Gram rows past their ``n // 4`` cap; the
+    two-matvec step, and the partial-FFT-Haar step given a residual, are
+    ``x + apply_adjoint(r)`` bit for bit. Each ``c`` is ``apply_adjoint(y)``
+    bit for bit."""
     rng = np.random.default_rng(3)
     n = 256
-    below = normalize_columns(rng.standard_normal((n, GRAM_MIN_SIZE // n - 1)))
-    assert below.cached_route(rng.standard_normal(n)) == (None, None)
-    for op in (normalize_columns(rng.standard_normal((n, GRAM_MIN_SIZE // n))),
+    for op in (normalize_columns(rng.standard_normal((n, GRAM_MIN_SIZE // n - 1))),
+               normalize_columns(rng.standard_normal((n, GRAM_MIN_SIZE // n))),
                make_partial_fft_haar(1024, 665, levels=2, seed=0)):
         y = rng.standard_normal(op.n)
         c, step = op.cached_route(y)
         assert c.tobytes() == op.apply_adjoint(y).tobytes()
-        x = np.zeros(op.p)
-        x[rng.choice(op.p, 5, replace=False)] = rng.standard_normal(5)
-        r = y - op.apply(x)
-        want = x + op.apply_adjoint(r)
-        if op.kind == "dense":
+        cached = op.kind == "dense" and op.n * op.p >= GRAM_MIN_SIZE
+        if cached:
             assert step.__self__.rows is None
-            np.testing.assert_allclose(step(x, r), want, rtol=0, atol=1e-12)
-        else:
-            assert step(x, r) is None
-        np.testing.assert_allclose(step(x, None), want, rtol=0, atol=1e-12)
+        for support in (5, n // 4 + 1):
+            x = np.zeros(op.p)
+            x[rng.choice(op.p, support, replace=False)] = rng.standard_normal(support)
+            r = y - op.apply(x)
+            want = x + op.apply_adjoint(r)
+            for carried in (r, None):
+                got = step(x, carried)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                if not cached and (carried is not None or op.kind == "dense"):
+                    assert got.tobytes() == want.tobytes()
+        if cached:
+            assert step.__self__.size == 5
 
 
 def test_gram_triangle_rows_match_the_gemv_rows():
     """Every row the triangle gives, on both sides of each block edge and
     at p not a multiple of GRAM_BLOCK, is ``A^t A[:, j]`` to a few ulps of
     the unit column norm, and lands where the gemv row would."""
-    op = _random_unit_columns(400, 700, seed=12).with_gram()
+    op = _random_unit_columns(400, 700, seed=12)
     assert op.gram is not None and 700 % GRAM_BLOCK
     assert not any(block.flags.writeable for block in op.gram)
-    rows = _GramRows(op.matrix, np.zeros(op.p), op.gram)
+    rows = _GramRows(op, np.zeros(op.p), None)
     got = np.empty(op.p)
     for j in range(op.p):
         rows._row(j, got)
@@ -409,26 +416,33 @@ def test_gram_triangle_rows_match_the_gemv_rows():
 
 
 def test_gram_triangle_rule():
-    """Only a dense operator at or above GRAM_MIN_SIZE with p <= 2n gets a
-    triangle; one that has it, or any other, is returned as it is. The
-    triangle changes neither the operator's fields nor its products."""
+    """Only a dense operator at or above GRAM_MIN_SIZE with p <= 2n has a
+    triangle. It is built at the first read and kept, it is read-only, it
+    changes neither the operator's equality, its repr nor its products, and
+    ``dataclasses.replace`` derives a new one."""
     rng = np.random.default_rng(4)
     n = 400
     at_edge = normalize_columns(rng.standard_normal((n, 2 * n)))
-    with_gram = at_edge.with_gram()
-    assert with_gram.gram is not None and at_edge.gram is None
-    assert with_gram.matrix is at_edge.matrix and with_gram == at_edge
-    assert with_gram.with_gram() is with_gram
+    twin = dataclasses.replace(at_edge)
     x = np.zeros(2 * n)
     x[:3] = 1.0
-    assert with_gram.apply(x).tobytes() == at_edge.apply(x).tobytes()
+    before, text = at_edge.apply(x).tobytes(), repr(at_edge)
+    assert at_edge._gram is None
+    gram = at_edge.gram
+    assert gram is not None and at_edge.gram is gram
+    assert not any(block.flags.writeable for block in gram)
+    assert at_edge == twin and twin._gram is None and repr(at_edge) == text
+    assert "_gram" not in text
+    assert twin.gram is not gram  # a replaced copy derives its own, with the same bits
+    assert [b.tobytes() for b in twin.gram] == [b.tobytes() for b in gram]
+    assert at_edge.apply(x).tobytes() == before
     blocks = -(-2 * n // GRAM_BLOCK)
-    assert len(with_gram.gram) == blocks
-    assert sum(b.size for b in with_gram.gram) <= 2 * n * (n + GRAM_BLOCK)  # about the matrix
+    assert len(gram) == blocks
+    assert sum(b.size for b in gram) <= 2 * n * (n + GRAM_BLOCK)  # about the matrix
     for op in (normalize_columns(rng.standard_normal((n, 2 * n + 2))),
                normalize_columns(rng.standard_normal((256, 300))),  # below GRAM_MIN_SIZE
                make_partial_fft_haar(1024, 665, levels=2, seed=0)):
-        assert op.with_gram() is op and op.gram is None
+        assert op.gram is None
 
 
 def test_derived_arrays_follow_a_replaced_column_scale():

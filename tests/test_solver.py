@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ishtc import solver
+from ishtc import linop, solver
 from ishtc.linop import (GRAM_MIN_SIZE, SensingOperator, _GramRows, dense_operator,
                          normalize_columns)
 from ishtc.modelselect import select_bic
@@ -377,14 +377,37 @@ def test_fft_haar_route_matches_two_matvec_oracle(penalty, monkeypatch):
 @pytest.mark.parametrize("s, seed", [(10, 0), (100, 3)])
 @pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
 def test_gram_triangle_route_matches_two_matvec_oracle(s, seed, penalty, monkeypatch):
-    """Rows copied from the operator's Gram triangle meet the cached-route
-    contract, also on paths whose support outgrows the rows."""
+    """Rows copied from the Gram triangle that a fresh operator builds at its
+    first solve meet the cached-route contract, also on paths whose support
+    outgrows the rows."""
     problem = gen_problem("gaussian", n=500, p=1000, s=s, dr=100.0, sigma=1e-2, seed=seed)
-    op = problem.op.with_gram()
-    assert op.gram is not None
+    op = problem.op
+    assert op._gram is None
     cfg = SolverConfig(penalty=penalty)
     path, steps = _assert_cached_route_matches_oracle(op, problem.y, cfg, monkeypatch)
+    assert op._gram is not None
     assert steps < cfg.kmax * (len(path) - 1)
+
+
+def test_two_solves_on_one_operator_build_one_triangle(monkeypatch):
+    """A dense operator at or above GRAM_MIN_SIZE with p <= 2n builds its
+    Gram triangle at the first step of its first solve, not while the solve
+    plans, and its later solves read the same one."""
+    built = []
+
+    def counted(matrix, _orig=linop._gram_triangle):
+        built.append(matrix.shape)
+        return _orig(matrix)
+
+    monkeypatch.setattr(linop, "_gram_triangle", counted)
+    problem = gen_problem("gaussian", n=400, p=700, s=5, dr=10.0, sigma=1e-2, seed=2)
+    with pytest.raises(ValueError, match="MAX_INNER_STEPS"):
+        continuation_solve(problem.op, problem.y,
+                           SolverConfig(penalty=Penalty.L0, kmax=1000, path_len_N=1001))
+    assert built == []
+    for penalty in (Penalty.L0, Penalty.L1):
+        continuation_solve(problem.op, problem.y, SolverConfig(penalty=penalty, path_len_N=5))
+    assert built == [(400, 700)]
 
 
 @pytest.mark.parametrize("n, p, s, penalty", [(500, 1000, 100, Penalty.L1),
@@ -457,8 +480,9 @@ def test_overflowing_residual_norm_is_divergence():
     _, before = continuation_solve(op, y, dataclasses.replace(cfg, path_len_N=err.value.level - 1))
     assert np.all(np.isfinite(before.residual_norms))
     x = before.solutions[-1]
+    _, step = op.cached_route(y)
     with np.errstate(over="ignore"):
-        x = inner_iterate(op, y, x, y - op.apply(x), err.value.lam, Penalty.L1, None)
+        x = inner_iterate(x, y - op.apply(x), err.value.lam, Penalty.L1, step)
         r = y - op.apply(x)
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(r))
         assert np.linalg.norm(r) == math.inf
@@ -470,9 +494,10 @@ def test_overflowing_residual_norm_is_divergence():
 @pytest.mark.parametrize("lambda0", ["auto", 3.0])
 def test_every_operator_application_is_counted(kind, path_len, penalty, lambda0, monkeypatch):
     """A dense solve below the Gram-row floor calls the operator as often as
-    the path counts. A partial-FFT-Haar solve calls the forward map once per
-    level and the adjoint once per level plus once for ``c``; its FFTs are
-    the path's count, plus the adjoint for ``c`` when ``lambda0`` is given."""
+    the path counts, plus the adjoint for ``c`` when ``lambda0`` is given. A
+    partial-FFT-Haar solve calls the forward map once per level and the
+    adjoint once per level plus once for ``c``; its FFTs are the path's
+    count, plus the adjoint for ``c`` when ``lambda0`` is given."""
     problem = _oracle_problem(kind)
     calls = []
     for name in ("apply", "apply_adjoint"):
@@ -497,7 +522,8 @@ def test_every_operator_application_is_counted(kind, path_len, penalty, lambda0,
         assert (calls.count("apply"), calls.count("apply_adjoint")) == (levels, levels + 1)
         assert len(transforms) == path.n_matvec + (lambda0 != "auto")
     else:
-        assert len(calls) == path.n_matvec
+        assert len(calls) == path.n_matvec + (lambda0 != "auto")
+        assert calls.count("apply_adjoint") == path.n_matvec // 2 + 1
     if path_len == 100:  # a plan cut short is counted as exactly
         assert path.stop_reason == "saturated" and len(path) < 101
 
@@ -510,7 +536,8 @@ def test_every_operator_application_is_counted(kind, path_len, penalty, lambda0,
 def test_inner_iterate_orthonormal_collapse():
     op = _orthonormal_op(12, 12, seed=8)
     y = np.random.default_rng(9).standard_normal(12)
-    out = inner_iterate(op, y, np.zeros(12), y, 0.4, Penalty.L1, None)
+    _, step = op.cached_route(y)
+    out = inner_iterate(np.zeros(12), y, 0.4, Penalty.L1, step)
     ref = threshold_vector(op.apply_adjoint(y), 0.4, Penalty.L1)
     np.testing.assert_allclose(out, ref, atol=1e-14)
 
@@ -518,8 +545,9 @@ def test_inner_iterate_orthonormal_collapse():
 def test_inner_iterate_fixed_point():
     op = _orthonormal_op(12, 12, seed=8)
     y = np.random.default_rng(10).standard_normal(12)
-    fp = inner_iterate(op, y, np.zeros(12), y, 0.4, Penalty.L1, None)
-    again = inner_iterate(op, y, fp, None, 0.4, Penalty.L1, None)
+    _, step = op.cached_route(y)
+    fp = inner_iterate(np.zeros(12), y, 0.4, Penalty.L1, step)
+    again = inner_iterate(fp, None, 0.4, Penalty.L1, step)
     assert np.max(np.abs(again - fp)) <= 1e-12
 
 
@@ -533,26 +561,33 @@ def test_inner_iterate_matches_naive_step():
     lam = 0.2
     mat = np.asarray(op.matrix)
     naive = threshold_vector(x + mat.T @ (y - mat @ x), lam, Penalty.L0)
-    out = inner_iterate(op, y, x, y - op.apply(x), lam, Penalty.L0, None)
+    _, step = op.cached_route(y)
+    out = inner_iterate(x, y - op.apply(x), lam, Penalty.L0, step)
     np.testing.assert_allclose(out, naive, atol=1e-13)
     # Without a residual the step forms it, with the same bits.
-    assert np.array_equal(inner_iterate(op, y, x, None, lam, Penalty.L0, None), out)
+    assert np.array_equal(inner_iterate(x, None, lam, Penalty.L0, step), out)
 
 
 @pytest.mark.parametrize("support", [3, 11], ids=["cached", "past-the-cache"])
 def test_inner_iterate_gram_step(support):
     """With the Gram rows the step matches the two-matvec step to roundoff;
-    a support past the n // 4 rows takes the two-matvec step, bit for bit."""
+    a support past the n // 4 rows takes the two-matvec step, bit for bit,
+    with or without a carried residual."""
     rng = np.random.default_rng(23)
     op = normalize_columns(rng.standard_normal((40, 80)))
     y = rng.standard_normal(40)
     x = np.zeros(80)
     x[rng.choice(80, support, replace=False)] = rng.standard_normal(support)
-    gram = _GramRows(op.matrix, op.apply_adjoint(y))
-    got = inner_iterate(op, y, x, None, 0.05, Penalty.L1, gram.step)
-    want = inner_iterate(op, y, x, None, 0.05, Penalty.L1, None)
+    c, two_matvec = op.cached_route(y)  # below GRAM_MIN_SIZE: the two-matvec step
+    gram = _GramRows(op, c, two_matvec)
+    got = inner_iterate(x, None, 0.05, Penalty.L1, gram.step)
+    want = inner_iterate(x, None, 0.05, Penalty.L1, two_matvec)
     if support > 40 // 4:
         assert np.array_equal(got, want)
+        r = y - op.apply(x)
+        assert np.array_equal(inner_iterate(x, r, 0.05, Penalty.L1, gram.step),
+                              inner_iterate(x, r, 0.05, Penalty.L1, two_matvec))
+        assert gram.rows is None
     else:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         assert gram.size == support
