@@ -25,16 +25,13 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
-    SweepSpec, bench_to_csv, benchmark_table, curve90_to_csv, phase_to_csv, phase_transition_grid,
-    support_probability_sweep, sweep_to_csv,
+    DEFAULT_PHASE_SIGMA, DEFAULT_SUCCESS_THRESHOLD, SweepSpec, bench_to_csv, benchmark_table,
+    curve90_to_csv, phase_to_csv, phase_transition_grid, support_probability_sweep, sweep_to_csv,
 )
 from .linop import mutual_coherence
 from .modelselect import run_full_path, scores_to_csv, select_bic
-from .probgen import MATRIX_KINDS, gen_problem, load_problem, save_problem
-from .solver import (
-    DEFAULT_GAMMA, DEFAULT_KMAX, DEFAULT_PATH_LEN, DivergenceError, SolverConfig, TheoryParams,
-    continuation_solve, lambda_star,
-)
+from .probgen import DEFAULT_LEVELS, MATRIX_KINDS, gen_problem, load_problem, save_problem
+from .solver import DivergenceError, SolverConfig, TheoryParams, continuation_solve, lambda_star
 from .storage import write_array, write_manifest
 from .thresholding import Penalty
 
@@ -263,10 +260,10 @@ def cmd_bench(params: dict, args: argparse.Namespace) -> int:
                    {"bench.csv": partial(bench_to_csv, rows)}, {}, {"rows": len(rows)})
 
 
-# Rows shared by several tables. The path knobs default to the solver's own.
-GAMMA = Opt("gamma", "--gamma", float, DEFAULT_GAMMA)
-KMAX = Opt("kmax", "--kmax", int, DEFAULT_KMAX)
-PATH_LEN = Opt("path_len_N", "--path-len", int, DEFAULT_PATH_LEN)
+# Rows shared by several tables. The solver's knobs default to its config's fields.
+GAMMA = Opt("gamma", "--gamma", float, SolverConfig.gamma)
+KMAX = Opt("kmax", "--kmax", int, SolverConfig.kmax)
+PATH_LEN = Opt("path_len_N", "--path-len", int, SolverConfig.path_len_N)
 PATH_KNOBS = (GAMMA, KMAX, PATH_LEN)
 PENALTY = Opt("penalty", "--penalty", choices=["l1", "l0"])
 SEED = Opt("seed", "--seed", int, 0)
@@ -286,17 +283,17 @@ COMMANDS = {
     "gen": (cmd_gen, "generate a problem directory", (
         Opt("kind", "--kind", default=REQUIRED, choices=MATRIX_KINDS),
         *_problem_rows(REQUIRED, REQUIRED, REQUIRED, 0.0),
-        Opt("levels", "--levels", int, 2),
+        Opt("levels", "--levels", int, DEFAULT_LEVELS),
         SEED,
         Opt("coherence", "--coherence", bool, False, "also compute and record mutual coherence"),
     )),
     "solve": (cmd_solve, "run the continuation solver on a problem directory", (
         Opt("problem", "--problem", default=REQUIRED, help="problem directory from `gen`"),
         PENALTY._replace(default=REQUIRED),
-        Opt("lambda0", "--lambda0", _parse_level, "auto"),
+        Opt("lambda0", "--lambda0", _parse_level, SolverConfig.lambda0),
         GAMMA,
         KMAX,
-        Opt("lambda_star", "--lambda-star", _parse_level, "path"),
+        Opt("lambda_star", "--lambda-star", _parse_level, SolverConfig.lambda_star),
         PATH_LEN,
         Opt("mu_s", "--mu-s", float, help="coherence-sparsity product for --lambda-star auto"),
         Opt("c", "--c", float, help="stopping constant for --lambda-star auto"),
@@ -324,8 +321,9 @@ COMMANDS = {
         Opt("rho_grid", "--rho-grid", help="comma-separated rhos"),
         Opt("trials", "--trials", int, 20),
         PENALTY._replace(default="l1"),
-        Opt("threshold", "--threshold", float, 1e-2, "relative L2 success threshold"),
-        Opt("sigma", "--sigma", float, 1e-6),
+        Opt("threshold", "--threshold", float, DEFAULT_SUCCESS_THRESHOLD,
+            "relative L2 success threshold"),
+        Opt("sigma", "--sigma", float, DEFAULT_PHASE_SIGMA),
         *EXPERIMENT,
     )),
     "bench": (cmd_bench, "mean cost/error table over problem sizes", (

@@ -47,6 +47,10 @@ from .thresholding import Penalty
 
 LN9 = math.log(9.0)
 
+#: Phase-grid defaults: the relative L2 error of a success, and the noise level.
+DEFAULT_SUCCESS_THRESHOLD = 1e-2
+DEFAULT_PHASE_SIGMA = 1e-6
+
 #: Columns of a :func:`benchmark_table` row, in ``bench.csv`` order.
 BENCH_COLUMNS = ("p", "n", "s", "time_s", "n_matvec", "rel_l2", "abs_linf", "diverged")
 
@@ -212,8 +216,8 @@ def phase_transition_grid(
     p: int,
     trials: int,
     penalty: Penalty,
-    success_threshold: float = 1e-2,
-    sigma: float = 1e-6,
+    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
+    sigma: float = DEFAULT_PHASE_SIGMA,
     base_seed: int = 0,
     workers: int = 1,
     gamma: float = DEFAULT_GAMMA,

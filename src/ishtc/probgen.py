@@ -35,7 +35,9 @@ _MATRIX_STREAM = 0
 _SIGNAL_STREAM = 1
 _NOISE_STREAM = 2
 
+#: Matrix kinds, and the Haar levels of an ``fft-haar`` draw unless given.
 MATRIX_KINDS = ("gaussian", "bernoulli", "correlated", "fft-haar")
+DEFAULT_LEVELS = 2
 
 
 def _substream(seed: int, tag: int) -> np.random.SeedSequence:
@@ -127,7 +129,7 @@ def gen_problem(
     sigma: float,
     nu: Optional[float] = None,
     seed: int = 0,
-    levels: int = 2,
+    levels: int = DEFAULT_LEVELS,
     op: Optional[SensingOperator] = None,
 ) -> Problem:
     """Compose matrix, signal, and noise into one instance.
@@ -188,7 +190,7 @@ def check_problem_args(
     sigma: float,
     nu: Optional[float] = None,
     seed: int = 0,
-    levels: int = 2,
+    levels: int = DEFAULT_LEVELS,
 ) -> None:
     """Raise the ValueError :func:`gen_problem` raises for these arguments'
     noise level, mixing weight, matrix kind, measurement count, signal

@@ -7,9 +7,9 @@ warm-started from the previous level's solution, and records every per-level
 estimate. Stopping is either at an explicit target level (such as the
 noise-calibrated :func:`lambda_star` of :class:`TheoryParams`), or after at
 most a fixed number of levels ("path" mode, for model selection afterwards).
-A path-mode solve also ends at the first level whose support is
-:func:`saturated`: model selection scores it +inf, and the later levels,
-at smaller penalties, have been seen to stay saturated.
+Every solve also ends at the first level whose support is :func:`saturated`:
+model selection scores it +inf, and the later levels have been seen to stay
+saturated or blow up.
 
 Every step is :func:`inner_iterate`, and each level forms one residual
 ``y - Psi x`` at its last iterate, for the divergence check, the path record
@@ -76,9 +76,10 @@ class SolverConfig:
     which 0 is still the exact minimizer (costs one adjoint matvec).
     ``lambda_star`` is the stopping level (e.g. from :func:`lambda_star`), or
     ``"path"`` to run at most ``path_len_N`` levels and leave the choice to
-    model selection; the path ends earlier at its first :func:`saturated`
-    level. Numeric levels must be finite and positive; ``kmax`` and
-    ``path_len_N`` must be integers (not bools).
+    model selection (a numeric stop ignores it); either solve ends earlier at
+    its first :func:`saturated` level. Numeric levels must be finite and
+    positive; ``kmax`` and ``path_len_N`` must be integers (not bools), and a
+    path's ``kmax * path_len_N`` at most :data:`MAX_INNER_STEPS`.
     """
 
     penalty: Penalty
@@ -107,6 +108,8 @@ class SolverConfig:
             raise ValueError(
                 f"lambda0 ({self.lambda0}) must exceed lambda_star ({self.lambda_star})"
             )
+        if self.lambda_star == "path" and self.kmax * self.path_len_N > MAX_INNER_STEPS:
+            raise ValueError(f"kmax * path_len_N is over MAX_INNER_STEPS = {MAX_INNER_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,8 @@ def theoretical_error_bound(theory: TheoryParams, penalty: Penalty) -> float:
 
 def saturated(support_size: int, n: int, p: int) -> bool:
     """Whether a support is larger than ``min(n, p)``. Such a model can
-    interpolate the data: BIC scores it +inf, and a path-mode solve ends at
-    the first level that reaches it."""
+    interpolate the data: BIC scores it +inf, and a solve ends at the first
+    level that reaches it."""
     return support_size > min(n, p)
 
 
@@ -209,9 +212,9 @@ class PathResult:
     other steps' transforms in one private product. The residual norm of a
     level is that of ``y - Psi x`` at its last iterate.
     ``stop_reason`` says why the solve ended: ``"path_len"`` (a path-mode
-    solve ran all its planned levels), ``"saturated"`` (a path-mode solve
-    reached a :func:`saturated` support) or ``"lambda_star"`` (the next
-    level would fall below a numeric stopping level).
+    solve ran all its planned levels), ``"saturated"`` (the solve, in either
+    mode, reached a :func:`saturated` support) or ``"lambda_star"`` (the
+    next level would fall below a numeric stopping level).
     """
 
     lambdas: np.ndarray
@@ -264,28 +267,21 @@ def inner_iterate(
 
 
 def _plan(lam0: float, config: SolverConfig) -> List[float]:
-    """Levels ``lam0, gamma*lam0, ...`` of one solve: ``path_len_N`` below ``lam0``
-    in path mode, else every one still at or above the stop. A plan of more
-    than :data:`MAX_INNER_STEPS` inner steps is refused with a ValueError."""
+    """Levels ``lam0, gamma*lam0, ...`` of one solve: at most ``path_len_N``
+    below ``lam0`` and no floor in path mode, else every one at or above the
+    stop, but at most one past the cap, which is then refused (ValueError)."""
     cap = MAX_INNER_STEPS // config.kmax
-    lambdas = [lam0]
     if config.lambda_star == "path":
         # Auto rule on all-zero data gives level 0; nothing to shrink toward.
-        n_levels = config.path_len_N if lam0 > 0.0 else 0
-        if n_levels <= cap:  # a longer path is refused before it is built
-            for _ in range(n_levels):
-                lambdas.append(config.gamma * lambdas[-1])
+        most, floor = (config.path_len_N if lam0 > 0.0 else 0), -math.inf
     else:
-        # Every level at or above the stop, but at most one past the cap.
-        lam_stop = float(config.lambda_star)
-        while len(lambdas) <= cap + 1 and config.gamma * lambdas[-1] >= lam_stop:
-            lambdas.append(config.gamma * lambdas[-1])
-        n_levels = len(lambdas) - 1
-    if n_levels > cap:
-        raise ValueError(
-            f"the solve would run more than {cap} levels of {config.kmax} inner steps, "
-            f"over MAX_INNER_STEPS = {MAX_INNER_STEPS}"
-        )
+        most, floor = cap + 1, float(config.lambda_star)
+    lambdas = [lam0]
+    while len(lambdas) <= most and config.gamma * lambdas[-1] >= floor:
+        lambdas.append(config.gamma * lambdas[-1])
+    if len(lambdas) - 1 > cap:
+        raise ValueError(f"the solve would run more than {cap} levels of {config.kmax} inner "
+                         f"steps, over MAX_INNER_STEPS = {MAX_INNER_STEPS}")
     return lambdas
 
 
@@ -299,12 +295,12 @@ def continuation_solve(
     Returns the final estimate and the per-level path. With a numeric
     stopping level the final estimate is the solution at the last level whose
     value is still >= the stopping level; in "path" mode it is the solution
-    at the last of at most ``path_len_N`` levels, or, when the path ends at a
-    :func:`saturated` level, at the level before it, the last one BIC can
-    score (use BIC selection afterwards).
+    at the last of at most ``path_len_N`` levels (use BIC selection
+    afterwards). A solve that reaches a :func:`saturated` level ends there
+    and answers with the level before it, the last one BIC can score.
 
-    Raises :class:`ValueError` on data whose norm is not finite or when the
-    solve would plan more than :data:`MAX_INNER_STEPS` inner steps, and
+    Raises :class:`ValueError` on data whose norm is not finite or when a
+    numeric stop would plan more than :data:`MAX_INNER_STEPS` inner steps, and
     :class:`DivergenceError` when a level's residual norm is not finite.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -323,8 +319,7 @@ def continuation_solve(
     lam0 = config.penalty.level(float(np.max(np.abs(c)))) if auto else float(config.lambda0)
     lambdas = _plan(lam0, config)
 
-    path_mode = config.lambda_star == "path"
-    stop_reason = "path_len" if path_mode else "lambda_star"
+    stop_reason = "path_len" if config.lambda_star == "path" else "lambda_star"
     # r is the residual y - Psi x of the level's first iterate.
     x, r = np.zeros(op.p), y
     supports, values = [np.flatnonzero(x != 0)], [np.zeros(0)]
@@ -348,7 +343,7 @@ def continuation_solve(
         values.append(x[support])
         residual_norms.append(rnorm)
         objective_values.append(0.5 * rnorm ** 2 + lam * config.penalty.term(x))
-        if path_mode and saturated(support.size, op.n, op.p):
+        if saturated(support.size, op.n, op.p):
             stop_reason = "saturated"
             break
     del lambdas[len(supports):]  # the plan ends where the run stopped

@@ -170,20 +170,28 @@ def test_solve_defaults_to_full_path(tmp_path):
 
 def test_saturated_path_solve_answers_with_the_level_before(tmp_path, capsys):
     """On criterion 9's problem the path ends saturated, and solve writes the
-    level before it, a model BIC can score, not the saturated one."""
-    prob_dir, out = tmp_path / "prob", tmp_path / "run"
-    assert main(["gen", "--kind", "gaussian", "--n", "40", "--p", "80", "--s", "4", "--dr", "10",
-                 "--sigma", "1e-3", "--seed", "21", "--out", str(prob_dir)]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["solve", "--problem", str(prob_dir), "--penalty", "l1",
-                 "--out", str(out)]) == EXIT_OK
-    summary = json.loads(capsys.readouterr().out.strip())
-    assert json.loads((out / "manifest.json").read_text())["stop_reason"] == "saturated"
-    supports = [int(line.split(",")[1])
-                for line in (out / "path.csv").read_text().strip().splitlines()[1:]]
-    assert supports[-1] > 40
-    x_star = read_array(out / "x_star.bin")
-    assert np.count_nonzero(x_star) == summary["support_size"] == supports[-2] == 27
+    level before it, a model BIC can score, not the saturated one. A numeric
+    stop far below the saturated level ends there too: on the same matrix
+    at dr 100 and sigma 1e-2 it used to run on to entries near 1e23."""
+    cases = [(["--dr", "10", "--sigma", "1e-3"], [], 27),
+             (["--dr", "100", "--sigma", "1e-2"], ["--lambda-star", "1e-3"], 29)]
+    for i, (noise, stop, picked) in enumerate(cases):
+        prob_dir, out = tmp_path / f"prob{i}", tmp_path / f"run{i}"
+        assert main(["gen", "--kind", "gaussian", "--n", "40", "--p", "80", "--s", "4", *noise,
+                     "--seed", "21", "--out", str(prob_dir)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", "--problem", str(prob_dir), "--penalty", "l1", *stop,
+                     "--out", str(out)]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out.strip())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["stop_reason"], manifest["path_levels"]) == ("saturated", 44)
+        supports = [int(line.split(",")[1])
+                    for line in (out / "path.csv").read_text().strip().splitlines()[1:]]
+        assert supports[-1] > 40
+        x_star = read_array(out / "x_star.bin")
+        assert np.count_nonzero(x_star) == summary["support_size"] == supports[-2] == picked
+        # The true peak is the dynamic range.
+        assert np.max(np.abs(x_star)) < 1.01 * float(noise[1])
 
 
 def test_solve_rerun_byte_identical_small(tmp_path):
@@ -427,6 +435,9 @@ def _count_trials(mp):
     ("sweep", ["--workers", "0"]), ("phase", ["--workers", "-3"]), ("bench", ["--workers", "0"]),
     ("phase", ["--threshold", "nan"]), ("phase", ["--threshold", "-0.5"]),
     ("sweep", ["--seed", "-3"]), ("phase", ["--seed", "-1"]), ("bench", ["--seed", "-1"]),
+    # kmax * path_len over MAX_INNER_STEPS
+    ("sweep", ["--path-len", "300000"]), ("bench", ["--path-len", "300000"]),
+    ("phase", ["--kmax", "1000", "--path-len", "1001"]),
 ])
 def test_experiment_refusals_exit_2_before_any_trial(command, flags, tmp_path, capsys,
                                                      monkeypatch):

@@ -14,8 +14,8 @@ from ishtc.modelselect import (
     select_bic,
 )
 from ishtc.probgen import gen_problem
-from ishtc.solver import DivergenceError, PathResult, SolverConfig, continuation_solve
-from ishtc.thresholding import Penalty
+from ishtc.solver import DEFAULT_KMAX, PathResult, SolverConfig, continuation_solve
+from ishtc.thresholding import Penalty, threshold_vector
 
 
 def _instance(seed=11, n=30, p=60):
@@ -55,32 +55,49 @@ def test_full_path_equals_explicit_stop():
         np.testing.assert_array_equal(a, b)
 
 
-def _stop_at_level(path, penalty, level):
-    """A config whose explicit stop lies just below the path's level ``level``."""
-    return SolverConfig(penalty=penalty, gamma=0.8,
-                        lambda_star=float(path.lambdas[0]) * 0.8 ** level * 0.9999)
+def _uncut_path(op, y, penalty, lam0, levels):
+    """Up to ``levels`` levels below the start ``lam0`` at gamma 0.8 and the
+    default ``kmax``, each taken by the operator's route as
+    :func:`continuation_solve` takes it, but with no saturation stop. The
+    loop ends before a level whose residual norm is not finite. The matvec
+    count holds the auto start's adjoint."""
+    kmax, (_, step) = DEFAULT_KMAX, op.cached_route(y)
+    x, r = np.zeros(op.p), y
+    lams, sols, rnorms = [lam0], [x], [float(np.linalg.norm(y))]
+    objectives = [0.5 * rnorms[0] ** 2]
+    for _ in range(levels):
+        lam = 0.8 * lams[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(kmax):
+                x = threshold_vector(step(x, r if k == 0 else None), lam, penalty)
+            r = y - op.apply(x)
+            rnorm = float(np.linalg.norm(r))
+        if not math.isfinite(rnorm):
+            break
+        lams.append(lam)
+        sols.append(x)
+        rnorms.append(rnorm)
+        objectives.append(0.5 * rnorm ** 2 + lam * penalty.term(x))
+    return PathResult(lambdas=np.array(lams), **_sparse(sols, op.p),
+                      residual_norms=np.array(rnorms), objective_values=np.array(objectives),
+                      matvec_cumulative=1 + 2 * kmax * np.arange(len(lams), dtype=np.int64),
+                      stop_reason="path_len")
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "fft-haar"])
 @pytest.mark.parametrize("penalty", [Penalty.L1, Penalty.L0])
 def test_cut_path_is_a_prefix_of_the_uncut_path(kind, penalty):
     """On n < p problems the path cut at its first saturated level is a bitwise
-    prefix of the same levels run without the cut (an explicit stop at level
-    N, or at the level before the one where the uncut run's residual norm
-    overflows), and BIC picks the same level and solution from both."""
+    prefix of the same levels run on past saturation by a test-side loop (to
+    level N, or to the level before one whose residual norm overflows), and
+    BIC picks the same level and solution from both."""
     N, saturated = 60, 0
     for seed in range(4):
         prob = gen_problem(kind, n=24, p=64, s=3, dr=10.0, sigma=1e-2, seed=seed)
         path = run_full_path(prob.op, prob.y, penalty, gamma=0.8, N=N)
-        levels = N
-        try:
-            _, uncut = continuation_solve(prob.op, prob.y, _stop_at_level(path, penalty, N))
-        except DivergenceError as exc:
-            assert path.stop_reason == "saturated" and exc.level > len(path)
-            levels = exc.level - 1
-            _, uncut = continuation_solve(prob.op, prob.y, _stop_at_level(path, penalty, levels))
-        assert len(uncut) == levels + 1
-        assert uncut.stop_reason == "lambda_star"
+        uncut = _uncut_path(prob.op, prob.y, penalty, float(path.lambdas[0]), N)
+        if len(uncut) < N + 1:  # the uncut run overflowed, after the cut
+            assert path.stop_reason == "saturated" and len(uncut) > len(path)
         k = len(path)
         for name in ("lambdas", "residual_norms", "objective_values", "matvec_cumulative"):
             assert np.array_equal(getattr(path, name), getattr(uncut, name)[:k]), name

@@ -153,6 +153,20 @@ def test_path_saturating_at_its_cap_reports_saturated():
     assert (below.stop_reason, len(below)) == ("path_len", last)
 
 
+@pytest.mark.parametrize("penalty", [Penalty.L0, Penalty.L1])
+def test_numeric_stop_ends_at_its_first_saturated_level(penalty):
+    """A stop far below saturation ends the solve where a path would end,
+    and answers with the level before, not with a run on to huge entries."""
+    problem = gen_problem("gaussian", n=500, p=1000, s=100, dr=100.0, sigma=1e-2, seed=0)
+    cfg = SolverConfig(penalty=penalty, lambda_star=1e-3)
+    x_star, path = continuation_solve(problem.op, problem.y, cfg)
+    assert path.stop_reason == "saturated"
+    assert path.supports[-1].size > 500 >= path.supports[-2].size
+    assert path.lambdas[-1] >= 1e-3
+    assert np.array_equal(x_star, path.solution(-2))
+    assert np.max(np.abs(x_star)) < 110  # the true peak is 100
+
+
 def test_solver_bit_reproducible():
     op, y = _small_instance()
     cfg = SolverConfig(penalty=Penalty.L0, gamma=0.8, lambda_star="path", path_len_N=25)
@@ -188,8 +202,8 @@ def _diverging_instance():
 def _recomputing_loop(op, y, cfg, lam_stop):
     """Test-only oracle of the loop that recomputes the residual: every step
     is ``x <- T(x + Psi^t (y - Psi x))`` and every level recomputes
-    ``y - Psi x`` once more, uncounted. Without a stop level the loop also
-    ends after the first level whose support exceeds min(n, p). A level whose
+    ``y - Psi x`` once more, uncounted. With or without a stop level the loop
+    also ends after the first level whose support exceeds min(n, p). A level whose
     residual norm is not finite raises DivergenceError. Returns the
     PathResult fields, the dense solutions, and the returned estimate: the
     level before a saturated last one, else the last."""
@@ -219,7 +233,7 @@ def _recomputing_loop(op, y, cfg, lam_stop):
             raise DivergenceError(lam, level, cfg.kmax)
         pen = np.sum(np.abs(x)) if cfg.penalty is Penalty.L1 else np.count_nonzero(x)
         levels.append((lam, x, rnorm, 0.5 * rnorm ** 2 + lam * float(pen), count))
-        if lam_stop is None and np.count_nonzero(x) > min(op.n, op.p):
+        if np.count_nonzero(x) > min(op.n, op.p):
             stop_reason = "saturated"
             break
     lambdas, solutions, rnorms, objectives, counts = zip(*levels)
@@ -696,6 +710,15 @@ def test_config_json_round_trip():
 # ---------------------------------------------------------------------------
 # Bound on the work of one solve
 # ---------------------------------------------------------------------------
+
+
+def test_config_refuses_a_path_over_the_bound():
+    """A path's bound depends on nothing but its config, so the config checks it."""
+    SolverConfig(penalty=Penalty.L1, kmax=5, path_len_N=200_000)
+    with pytest.raises(ValueError, match="MAX_INNER_STEPS"):
+        SolverConfig(penalty=Penalty.L1, kmax=5, path_len_N=200_001)
+    # A numeric stop ignores path_len_N.
+    SolverConfig(penalty=Penalty.L1, kmax=5, path_len_N=200_001, lambda_star=1.0)
 
 
 def test_path_at_the_bound_runs_and_one_level_more_is_refused(monkeypatch):
